@@ -7,7 +7,6 @@ relabelings of the classical game.
 """
 
 from .ewl import (
-    ENTANGLER,
     I_OP,
     IX_OP,
     MeasurementPair,
@@ -63,7 +62,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BimatrixGame",
-    "ENTANGLER",
     "EXT_LABELS",
     "EquilibriumReport",
     "ExtendedGame",

@@ -179,19 +179,32 @@ def cmd_isocheck(args) -> int:
     return EXIT_OK
 
 
-def _angle_list(raw: str) -> list[str]:
-    return [tok for tok in raw.split(",") if tok.strip()]
+def _angle_list(raw: str) -> list[tuple[str, Fraction | float]]:
+    """The non-empty comma-separated tokens of ``raw``, each with its parsed angle."""
+    if not isinstance(raw, str):  # argparse reads "--thetas=--" as []
+        raise CliError(f"cannot parse angle list {raw!r}", EXIT_BAD_INPUT)
+    try:
+        return [(tok, parse_angle(tok)) for tok in raw.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_BAD_INPUT) from exc
 
 
 def cmd_sweep(args) -> int:
     game, _ = _load_game(args.game)
     if game.shape != (2, 2):
         raise CliError(f"sweep needs a 2x2 game, got {game.shape}", EXIT_DOMAIN)
-    combos = []
-    for t_tok in _angle_list(args.thetas):
-        for a_tok in _angle_list(args.alphas):
-            for b_tok in _angle_list(args.betas):
-                combos.append((t_tok, a_tok, b_tok))
+    # Every point is parsed and range-checked before the output is opened,
+    # so malformed input leaves no partial CSV behind.
+    thetas, alphas, betas = [_angle_list(raw) for raw in (args.thetas, args.alphas, args.betas)]
+    points = []
+    for t_tok, theta in thetas:
+        for a_tok, alpha in alphas:
+            for b_tok, beta in betas:
+                try:
+                    params = params_from_angles(theta, alpha, beta)
+                except ValueError as exc:
+                    raise CliError(str(exc), EXIT_DOMAIN) from exc
+                points.append(((t_tok, a_tok, b_tok), params))
 
     out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     try:
@@ -199,15 +212,7 @@ def cmd_sweep(args) -> int:
         writer.writerow(
             ["theta", "alpha", "beta", "class", "n_pure", "n_mixed", "payoff1", "payoff2"]
         )
-        for t_tok, a_tok, b_tok in combos:
-            try:
-                angles = [parse_angle(tok) for tok in (t_tok, a_tok, b_tok)]
-            except ValueError as exc:
-                raise CliError(str(exc), EXIT_BAD_INPUT) from exc
-            try:
-                params = params_from_angles(*angles)
-            except ValueError as exc:
-                raise CliError(str(exc), EXIT_DOMAIN) from exc
+        for tokens, params in points:
             ext = build_extension(game, params)
             cls = classify(params)
             if ext.exact or args.allow_float_solve:
@@ -224,7 +229,7 @@ def cmd_sweep(args) -> int:
             else:
                 pay1 = pay2 = ""
                 counts = ["", ""]
-            writer.writerow([t_tok, a_tok, b_tok, cls.kind.value, *counts, pay1, pay2])
+            writer.writerow([*tokens, cls.kind.value, *counts, pay1, pay2])
     finally:
         if args.out:
             out.close()

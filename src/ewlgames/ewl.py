@@ -20,8 +20,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .games import BimatrixGame
 
 _TWO_PI = 2.0 * math.pi
@@ -76,16 +74,21 @@ def parse_angle(token: str) -> Fraction | float:
     """Parse an angle written either as a rational multiple of pi or in radians.
 
     "1/2pi", "pi", "3/4pi", "2pi" and plain "0" are exact (a Fraction giving
-    the multiple of pi); any other decimal is float radians.
+    the multiple of pi); any other decimal is float radians.  Anything else,
+    including a zero denominator and non-finite decimals, raises ValueError.
     """
+    if not isinstance(token, str):
+        raise ValueError(f"cannot parse angle {token!r}")
     token = token.strip().lower().replace(" ", "")
     match = re.fullmatch(r"([+-]?\d+(?:/\d+)?)?pi", token)
-    if match:
-        return Fraction(match.group(1)) if match.group(1) else Fraction(1)
     try:
-        value = float(token)
-    except ValueError:
+        value = Fraction(match.group(1) or 1) if match else float(token)
+    except (ValueError, ZeroDivisionError):
         raise ValueError(f"cannot parse angle {token!r}") from None
+    if isinstance(value, Fraction):
+        return value
+    if not math.isfinite(value):
+        raise ValueError(f"cannot parse angle {token!r}: not a finite number")
     if value == 0.0:
         return Fraction(0)
     return value
@@ -116,37 +119,39 @@ I_OP = UnitaryParams.exact_pi(0, 0, 0)
 IX_OP = UnitaryParams.exact_pi(1, 0, 0)
 Q_OP = UnitaryParams.exact_pi(0, Fraction(1, 2), 0)
 
-_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-
-# Maximal entangler J and its inverse; fixed for the whole library.
-ENTANGLER = (np.eye(4, dtype=complex) + 1j * np.kron(_SIGMA_X, _SIGMA_X)) / math.sqrt(2)
-_ENTANGLER_DAG = ENTANGLER.conj().T
-
-_KET00 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+_SQRT2 = math.sqrt(2.0)
 
 
-def unitary_matrix(params: UnitaryParams) -> np.ndarray:
-    """The 2x2 strategy matrix U(theta, alpha, beta)."""
+def unitary_matrix(params: UnitaryParams) -> tuple[tuple[complex, complex], ...]:
+    """The 2x2 strategy matrix U(theta, alpha, beta) as nested row tuples."""
     half = params.theta / 2.0
     c, s = math.cos(half), math.sin(half)
-    return np.array(
-        [
-            [cmath.exp(1j * params.alpha) * c, 1j * cmath.exp(1j * params.beta) * s],
-            [1j * cmath.exp(-1j * params.beta) * s, cmath.exp(-1j * params.alpha) * c],
-        ],
-        dtype=complex,
+    return (
+        (cmath.exp(1j * params.alpha) * c, 1j * cmath.exp(1j * params.beta) * s),
+        (1j * cmath.exp(-1j * params.beta) * s, cmath.exp(-1j * params.alpha) * c),
     )
 
 
-def final_state(p1: UnitaryParams, p2: UnitaryParams) -> np.ndarray:
-    """Statevector J^dag (U1 (x) U2) J |00> over the basis |00>,|01>,|10>,|11>."""
-    u = np.kron(unitary_matrix(p1), unitary_matrix(p2))
-    return _ENTANGLER_DAG @ (u @ (ENTANGLER @ _KET00))
+def final_state(p1: UnitaryParams, p2: UnitaryParams) -> tuple[complex, ...]:
+    """Statevector J^dag (U1 (x) U2) J |00> over the basis |00>,|01>,|10>,|11>.
+
+    J|00> = (|00> + i|11>)/sqrt(2), so (U1 (x) U2) J|00> is the |00> column of
+    U1 (x) U2 plus i times its |11> column, over sqrt(2).  J^dag is
+    (I - i X(x)X)/sqrt(2), and X(x)X reverses the basis order.
+    """
+    u1, u2 = unitary_matrix(p1), unitary_matrix(p2)
+    v = [
+        (u1[i][0] * u2[j][0] + 1j * u1[i][1] * u2[j][1]) / _SQRT2
+        for i in (0, 1)
+        for j in (0, 1)
+    ]
+    return tuple((v[k] - 1j * v[3 - k]) / _SQRT2 for k in range(4))
 
 
-def states_equal(a: np.ndarray, b: np.ndarray, tol: float = 1e-12) -> bool:
+def states_equal(a, b, tol: float = 1e-12) -> bool:
     """Equality of unit statevectors up to a global phase."""
-    return abs(abs(np.vdot(a, b)) - 1.0) <= tol
+    overlap = sum(x.conjugate() * y for x, y in zip(a, b))
+    return abs(abs(overlap) - 1.0) <= tol
 
 
 @dataclass(frozen=True)
@@ -171,12 +176,16 @@ class MeasurementPair:
         )
 
 
-def payoff_from_state(state: np.ndarray, pair: MeasurementPair) -> tuple[float, float]:
+def payoff_from_state(state, pair: MeasurementPair) -> tuple[float, float]:
     """Expectation of both players' observables in ``state``."""
-    probs = np.abs(np.asarray(state, dtype=complex)) ** 2
-    if abs(probs.sum() - 1.0) > 1e-9:
-        raise ValueError(f"state is not normalized (norm^2 = {probs.sum()})")
-    return (float(probs @ np.array(pair.m1)), float(probs @ np.array(pair.m2)))
+    probs = [abs(z) ** 2 for z in state]
+    norm = sum(probs)
+    if abs(norm - 1.0) > 1e-9:
+        raise ValueError(f"state is not normalized (norm^2 = {norm})")
+    return (
+        sum(p * w for p, w in zip(probs, pair.m1)),
+        sum(p * w for p, w in zip(probs, pair.m2)),
+    )
 
 
 def closed_form_payoff(

@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .ewl import I_OP, IX_OP, UnitaryParams, closed_form_payoff, format_angle
+from .ewl import UnitaryParams, format_angle
 from .games import (
     BimatrixGame,
     Payoff,
@@ -187,57 +187,55 @@ def build_type_matrix(game: BimatrixGame, kind: InvarianceKind) -> ExtendedGame:
     )
 
 
-def _exact_cells(game: BimatrixGame, params: UnitaryParams):
-    """The five non-classical cells in exact rational arithmetic, or None.
+def _trig_values(params: UnitaryParams):
+    """cos(theta), cos(2a), sin(2a), cos(2b), sin(2b) and sin(2(a - b)), and exactness.
 
-    Possible whenever cos(theta) and the sines/cosines of 2*alpha, 2*beta
-    and 2*(alpha - beta) are all rational, which covers every operator on
-    the quarter-pi grid (in particular I, iX and Q) at theta in
-    {0, pi/3, pi/2, 2pi/3, pi}.
+    The six values are Fractions when the angles are exact multiples of pi
+    and all six are rational (by Niven's theorem: every operator on the
+    quarter-pi grid, in particular I, iX and Q, at theta in {0, pi/3, pi/2,
+    2pi/3, pi}); otherwise all six are floats.
     """
-    t, a, b = params.pi_multiples
-    cos_t = _cos_pi(t)
-    c2a, s2a = _cos_pi(2 * a), _sin_pi(2 * a)
-    c2b, s2b = _cos_pi(2 * b), _sin_pi(2 * b)
-    s2ab = _sin_pi(2 * (a - b))
-    parts = (cos_t, c2a, s2a, c2b, s2b, s2ab)
-    if any(v is None for v in parts):
-        return None
+    if params.is_exact:
+        t, a, b = params.pi_multiples
+        values = (
+            _cos_pi(t),
+            _cos_pi(2 * a),
+            _sin_pi(2 * a),
+            _cos_pi(2 * b),
+            _sin_pi(2 * b),
+            _sin_pi(2 * (a - b)),
+        )
+        if None not in values:
+            return values, True
+    t, a, b = params.theta, params.alpha, params.beta
+    values = (
+        math.cos(t),
+        math.cos(2 * a),
+        math.sin(2 * a),
+        math.cos(2 * b),
+        math.sin(2 * b),
+        math.sin(2 * (a - b)),
+    )
+    return values, False
 
-    c2h = (1 + cos_t) / 2  # cos^2(theta/2)
-    s2h = (1 - cos_t) / 2
+
+def _outcome_weights(cos_t, c2a, s2a, c2b, s2b, s2ab):
+    """Outcome weights (w00, w01, w10, w11) of the five new cells.
+
+    The cells come in the order (I, U), (iX, U), (U, I), (U, iX), (U, U).
+    Each weight is the probability |<ij|Psi>|^2 of the EWL protocol in
+    double-angle form, so the same expressions run over Fraction or float.
+    """
+    c2h, s2h = (1 + cos_t) / 2, (1 - cos_t) / 2  # cos^2(theta/2), sin^2(theta/2)
     ca2, sa2 = (1 + c2a) / 2, (1 - c2a) / 2  # cos^2(alpha), sin^2(alpha)
     cb2, sb2 = (1 + c2b) / 2, (1 - c2b) / 2
-
-    d = [game.payoff(0, 0), game.payoff(0, 1), game.payoff(1, 0), game.payoff(1, 1)]
-
-    def combo(w00, w01, w10, w11) -> Payoff:
-        return (
-            w00 * d[0][0] + w01 * d[1][0] + w10 * d[2][0] + w11 * d[3][0],
-            w00 * d[0][1] + w01 * d[1][1] + w10 * d[2][1] + w11 * d[3][1],
-        )
-
-    u_ui = combo(ca2 * c2h, sb2 * s2h, cb2 * s2h, sa2 * c2h)
-    u_uix = combo(sb2 * s2h, ca2 * c2h, sa2 * c2h, cb2 * s2h)
-    u_iu = combo(ca2 * c2h, cb2 * s2h, sb2 * s2h, sa2 * c2h)
-    u_ixu = combo(sb2 * s2h, sa2 * c2h, ca2 * c2h, cb2 * s2h)
-
-    w_corner_00 = (c2a * c2h + s2b * s2h) ** 2
-    w_corner_mid = (1 + s2ab) * c2h * s2h  # = (cos+sin)^2(a-b) * sin^2(theta) / 4
-    w_corner_11 = (s2a * c2h - c2b * s2h) ** 2
-    u_uu = combo(w_corner_00, w_corner_mid, w_corner_mid, w_corner_11)
-    return u_iu, u_ixu, u_ui, u_uix, u_uu
-
-
-def _float_cells(game: BimatrixGame, params: UnitaryParams):
-    """The five non-classical cells by substituting into the payoff formula."""
-    to_pair = lambda xy: (Fraction(xy[0]), Fraction(xy[1]))
+    mid = (1 + s2ab) * c2h * s2h  # = (cos + sin)^2(a - b) * sin^2(theta) / 4
     return (
-        to_pair(closed_form_payoff(I_OP, params, game)),
-        to_pair(closed_form_payoff(IX_OP, params, game)),
-        to_pair(closed_form_payoff(params, I_OP, game)),
-        to_pair(closed_form_payoff(params, IX_OP, game)),
-        to_pair(closed_form_payoff(params, params, game)),
+        (ca2 * c2h, cb2 * s2h, sb2 * s2h, sa2 * c2h),
+        (sb2 * s2h, sa2 * c2h, ca2 * c2h, cb2 * s2h),
+        (ca2 * c2h, sb2 * s2h, cb2 * s2h, sa2 * c2h),
+        (sb2 * s2h, ca2 * c2h, sa2 * c2h, cb2 * s2h),
+        ((c2a * c2h + s2b * s2h) ** 2, mid, mid, (s2a * c2h - c2b * s2h) ** 2),
     )
 
 
@@ -245,24 +243,22 @@ def build_extension(game: BimatrixGame, params: UnitaryParams) -> ExtendedGame:
     """The 3x3 extension of a 2x2 game by the strategy U(theta, alpha, beta).
 
     The classical block is always embedded exactly.  The five new cells are
-    rational whenever the angles allow exact evaluation (invariant operators
-    delegate to their family matrix; other special angles evaluate the cell
-    formulas in rational arithmetic); otherwise they are computed in floats
-    and the result is marked ``exact=False``.
+    weighted sums of the four classical cells, evaluated in rational
+    arithmetic whenever the angles allow it; otherwise they are computed in
+    floats and the result is marked ``exact=False``.
     """
     if game.shape != (2, 2):
         raise ValueError(f"extensions need a 2x2 game, got {game.shape}")
-    exact = False
-    cells = None
-    if params.is_exact:
-        cls = classify(params)
-        if cls.invariant:
-            return replace(build_type_matrix(game, cls.kind), params=params)
-        cells = _exact_cells(game, params)
-        exact = cells is not None
-    if cells is None:
-        cells = _float_cells(game, params)
-    u_iu, u_ixu, u_ui, u_uix, u_uu = cells
+    d = [game.payoff(0, 0), game.payoff(0, 1), game.payoff(1, 0), game.payoff(1, 1)]
+    values, exact = _trig_values(params)
+    if not exact:
+        d = [(float(x), float(y)) for x, y in d]
+    new = []
+    for weights in _outcome_weights(*values):
+        u1 = sum(w * c[0] for w, c in zip(weights, d))
+        u2 = sum(w * c[1] for w, c in zip(weights, d))
+        new.append((Fraction(u1), Fraction(u2)))
+    u_iu, u_ixu, u_ui, u_uix, u_uu = new
     grid = (
         (game.payoff(0, 0), game.payoff(0, 1), u_iu),
         (game.payoff(1, 0), game.payoff(1, 1), u_ixu),

@@ -3,9 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ewlgames
 from ewlgames.cli import main
 
 PD_JSON = {
@@ -72,11 +77,14 @@ def test_extend_theta_out_of_range_is_domain_error(pd_file, capsys):
     assert "theta" in err
 
 
-def test_extend_unparseable_angle_is_input_error(pd_file, capsys):
+@pytest.mark.parametrize("token", ["huh", "inf", "nan", "1e400", "1/0pi", "--"])
+def test_extend_unparseable_angle_is_input_error(pd_file, capsys, token):
     code, _, err = run(
-        capsys, "extend", pd_file, "--theta", "huh", "--alpha", "0", "--beta", "0"
+        capsys, "extend", pd_file, "--theta", "0", f"--alpha={token}", "--beta", "0"
     )
     assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "Traceback" not in err
 
 
 def test_extend_non_2x2_game_is_domain_error(write_json, capsys):
@@ -202,6 +210,17 @@ def test_sweep_csv(pd_file, capsys):
     assert by_key[("0", "0", "1/2pi")][3] == "NonInvariant"
 
 
+@pytest.mark.parametrize("thetas, code", [("1/2pi,bogus", 2), ("1/2pi,2pi", 3)])
+def test_failed_sweep_leaves_no_output(pd_file, tmp_path, capsys, thetas, code):
+    out_path = tmp_path / "sweep.csv"
+    got, _, err = run(
+        capsys, "sweep", pd_file, "--thetas", thetas, "--alphas", "0", "--betas", "0",
+        "-o", str(out_path),
+    )
+    assert got == code and err.startswith("error:")
+    assert not out_path.exists()
+
+
 def test_sweep_skips_float_solving_without_opt_in(pd_file, capsys):
     code, out, _ = run(
         capsys, "sweep", pd_file, "--thetas", "0.5", "--alphas", "0.25", "--betas", "0"
@@ -250,3 +269,14 @@ def test_classify_command(capsys):
 def test_identical_invocations_are_byte_identical(pd_file, capsys):
     results = [run(capsys, "solve", pd_file) for _ in range(2)]
     assert results[0] == results[1]
+
+
+
+def test_cli_import_loads_no_numpy():
+    env = dict(os.environ, PYTHONPATH=str(Path(ewlgames.__file__).parents[1]))
+    probe = "import sys, ewlgames.cli; print('numpy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

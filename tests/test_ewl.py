@@ -74,7 +74,7 @@ def test_phases_reduce_modulo_two_pi():
 @settings(max_examples=60, deadline=None)
 @given(theta=angle_theta, alpha=angle_phase, beta=angle_phase)
 def test_strategy_matrices_are_unitary(theta, alpha, beta):
-    u = unitary_matrix(UnitaryParams.from_radians(theta, alpha, beta))
+    u = np.array(unitary_matrix(UnitaryParams.from_radians(theta, alpha, beta)))
     assert np.allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
 
 
@@ -114,7 +114,7 @@ def test_mixed_operator_pair_matches_reference_pipeline():
     for _ in range(25):
         p1, p2 = random_params(rng), random_params(rng)
         got = final_state(p1, p2)
-        want = _reference_final_state(unitary_matrix(p1), unitary_matrix(p2))
+        want = _reference_final_state(np.array(unitary_matrix(p1)), np.array(unitary_matrix(p2)))
         assert np.allclose(got, want, atol=1e-12)
 
 

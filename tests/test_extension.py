@@ -8,6 +8,8 @@ import pytest
 
 from ewlgames import (
     EXT_LABELS,
+    I_OP,
+    IX_OP,
     InvarianceKind,
     Q_OP,
     UnitaryParams,
@@ -215,11 +217,33 @@ def test_family_i_is_classical_mixing():
 def test_all_24_invariant_operators_collapse_to_their_family(pd):
     ops = invariant_grid_operators()
     assert len(ops) == 24
-    for p in ops:
-        kind = classify(p).kind
-        assert build_extension(pd, p).game.payoffs == (
-            build_type_matrix(pd, kind).game.payoffs
+    rng = random.Random(24)
+    for g in [pd] + [random_generic_game(rng) for _ in range(4)]:
+        for p in ops:
+            kind = classify(p).kind
+            assert build_extension(g, p).game.payoffs == build_type_matrix(g, kind).game.payoffs
+
+
+def test_float_cells_match_closed_form_off_grid():
+    rng = random.Random(12)
+    for _ in range(200):
+        g = random_generic_game(rng)
+        p = UnitaryParams.from_radians(
+            rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi)
         )
+        ext = build_extension(g, p)
+        assert not ext.exact
+        checks = [
+            ((0, 2), closed_form_payoff(I_OP, p, g)),
+            ((1, 2), closed_form_payoff(IX_OP, p, g)),
+            ((2, 0), closed_form_payoff(p, I_OP, g)),
+            ((2, 1), closed_form_payoff(p, IX_OP, g)),
+            ((2, 2), closed_form_payoff(p, p, g)),
+        ]
+        for (i, j), want in checks:
+            got = ext.game.payoff(i, j)
+            assert abs(float(got[0]) - want[0]) <= 1e-12
+            assert abs(float(got[1]) - want[1]) <= 1e-12
 
 
 def test_float_route_agrees_with_exact_route_on_grid(pd):
