@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -40,6 +41,23 @@ def _load_json(path: str) -> dict:
         raise CliError(f"cannot read {path}: {exc}", EXIT_BAD_INPUT) from exc
     except json.JSONDecodeError as exc:
         raise CliError(f"{path} is not valid JSON: {exc}", EXIT_BAD_INPUT) from exc
+
+
+def _open_output(path: str, newline: str | None = None):
+    try:
+        return open(path, "w", newline=newline, encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}", EXIT_BAD_INPUT) from exc
+
+
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0):
+        raise CliError(f"--tol must be a finite number >= 0, got {tol}", EXIT_BAD_INPUT)
+
+
+def _check_count(option: str, value: int) -> None:
+    if value < 1:
+        raise CliError(f"{option} must be at least 1, got {value}", EXIT_BAD_INPUT)
 
 
 def _load_game(path: str) -> tuple[BimatrixGame, dict]:
@@ -118,7 +136,7 @@ def cmd_extend(args) -> int:
     _print_game_table(ext.game, ext.exact)
     print(f"{_class_line(params)}  exact: {'true' if ext.exact else 'false'}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
+        with _open_output(args.out) as handle:
             json.dump(extended_to_json_dict(ext), handle, indent=2)
             handle.write("\n")
     return EXIT_OK
@@ -144,13 +162,14 @@ def cmd_solve(args) -> int:
     report = support_enumeration(game)
     _print_report(report, game, exact)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
+        with _open_output(args.out) as handle:
             json.dump(report_to_json_dict(report, game), handle, indent=2)
             handle.write("\n")
     return EXIT_OK
 
 
 def cmd_isocheck(args) -> int:
+    _check_tol(args.tol)
     game_a, _ = _load_game(args.game_a)
     game_b, _ = _load_game(args.game_b)
     bijection = find_isomorphism(game_a, game_b, tol=args.tol)
@@ -206,7 +225,7 @@ def cmd_sweep(args) -> int:
                     raise CliError(str(exc), EXIT_DOMAIN) from exc
                 points.append(((t_tok, a_tok, b_tok), params))
 
-    out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
+    out = _open_output(args.out, newline="") if args.out else sys.stdout
     try:
         writer = csv.writer(out)
         writer.writerow(
@@ -237,6 +256,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify_oracle(args) -> int:
+    _check_count("--samples", args.samples)
+    _check_count("--games", args.games)
+    _check_tol(args.tol)
     worst = max_oracle_deviation(samples=args.samples, seed=args.seed, n_games=args.games)
     print(
         f"max |closed-form - statevector| over {args.games} games x "

@@ -221,6 +221,52 @@ def test_failed_sweep_leaves_no_output(pd_file, tmp_path, capsys, thetas, code):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["extend", "{game}", "--theta", "0", "--alpha", "1/2pi", "--beta", "0"],
+        ["solve", "{game}"],
+        ["sweep", "{game}", "--thetas", "0", "--alphas", "0", "--betas", "0"],
+    ],
+    ids=["extend", "solve", "sweep"],
+)
+def test_unwritable_output_is_input_error(pd_file, tmp_path, capsys, command):
+    out_path = tmp_path / "missing-dir" / "out"
+    argv = [pd_file if arg == "{game}" else arg for arg in command]
+    code, _, err = run(capsys, *argv, "-o", str(out_path))
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "Traceback" not in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-oracle", "--samples", "5", "--games", "1", "--tol", "nan"],
+        ["verify-oracle", "--samples", "5", "--games", "1", "--tol", "inf"],
+        ["verify-oracle", "--samples", "5", "--games", "1", "--tol=-1"],
+        ["verify-oracle", "--samples", "0"],
+        ["verify-oracle", "--games=-1"],
+        ["isocheck", "{game}", "{game}", "--tol", "nan"],
+        ["isocheck", "{game}", "{game}", "--tol=-1"],
+    ],
+    ids=["oracle-nan", "oracle-inf", "oracle-negative", "samples-0", "games-negative",
+         "isocheck-nan", "isocheck-negative"],
+)
+def test_invalid_tolerance_or_count_is_input_error(pd_file, capsys, argv):
+    code, out, err = run(capsys, *[pd_file if arg == "{game}" else arg for arg in argv])
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "OK" not in out and "isomorphic" not in out
+
+
+def test_isocheck_with_tolerance_finds_identity(pd_file, capsys):
+    code, out, _ = run(capsys, "isocheck", pd_file, pd_file, "--tol", "1e-9")
+    assert code == 0
+    assert "isomorphic: yes" in out
+
+
 def test_sweep_skips_float_solving_without_opt_in(pd_file, capsys):
     code, out, _ = run(
         capsys, "sweep", pd_file, "--thetas", "0.5", "--alphas", "0.25", "--betas", "0"

@@ -1,17 +1,22 @@
 """Equilibrium solving: pure best responses and exact support enumeration."""
 
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nash_oracle
 from ewlgames import (
     MixedProfile,
+    UnitaryParams,
+    build_extension,
     make_game,
     mixed_payoff,
     pure_equilibria,
     random_generic_game,
+    snapped,
     solve_rational_system,
     support_enumeration,
     verify_equilibrium,
@@ -61,6 +66,42 @@ def test_solver_underdetermined_nullspace():
     assert sol is not None and len(null) == 2
     for vec in null:
         assert sum(vec) == 0
+
+
+@pytest.mark.parametrize(
+    "rows, rhs, expected",
+    [
+        # Overdetermined but consistent: three equations, two unknowns.
+        (
+            [[F(1), F(1)], [F(1), F(-1)], [F(2), F(3)]],
+            [F(3), F(1), F(7)],
+            ([F(2), F(1)], []),
+        ),
+        # A zero leading column: x0 is free, and the pivot search skips it.
+        (
+            [[F(0), F(2), F(1)], [F(0), F(1), F(-1)]],
+            [F(1), F(2)],
+            ([F(0), F(1), F(-1)], [[F(1), F(0), F(0)]]),
+        ),
+        # Denominators of about 1e9, as on snapped float-built games.
+        (
+            [[F(1, 999999937), F(2, 999999929)], [F(3, 10**9 + 7), F(-1, 10**9 + 9)]],
+            [F(1), F(5, 999999893)],
+            None,
+        ),
+    ],
+    ids=["overdetermined-consistent", "zero-leading-column", "denominators-1e9"],
+)
+def test_solver_matches_fraction_oracle(rows, rhs, expected):
+    got = solve_rational_system(rows, rhs)
+    assert got == nash_oracle.solve_rational_system(rows, rhs)
+    if expected is not None:
+        assert got == expected
+    sol, null = got
+    for row, r in zip(rows, rhs):
+        assert sum(a * x for a, x in zip(row, sol)) == r
+        for vec in null:
+            assert sum(a * x for a, x in zip(row, vec)) == 0
 
 
 # --- pure equilibria -------------------------------------------------------
@@ -280,3 +321,95 @@ def test_reported_equilibria_always_verify(values):
     assert len(report) >= 1
     for prof, _ in report.mixed:
         assert verify_equilibrium(g, prof)
+
+
+# --- differential tests against the Fraction Gauss-Jordan oracle -----------
+
+
+def grid_game(values, rows, cols):
+    """A game whose payoff pairs are ``values`` in row-major order."""
+    labels1 = tuple(f"r{i}" for i in range(rows))
+    labels2 = tuple(f"c{j}" for j in range(cols))
+    return make_game(
+        labels1, labels2, [[values[i * cols + j] for j in range(cols)] for i in range(rows)]
+    )
+
+
+def assert_matches_oracle(game):
+    report = support_enumeration(game)
+    assert report == nash_oracle.support_enumeration(game)
+    return report
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 3)])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_matches_oracle_on_small_integer_games(shape, data):
+    rows, cols = shape
+    values = data.draw(
+        st.lists(st.tuples(small_ints, small_ints), min_size=rows * cols, max_size=rows * cols)
+    )
+    assert_matches_oracle(grid_game(values, rows, cols))
+
+
+def tie_heavy_games(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield grid_game([(rng.randrange(3), rng.randrange(3)) for _ in range(9)], 3, 3)
+
+
+def test_matches_oracle_on_tie_heavy_pool():
+    # Payoffs in {0, 1, 2} make many supports underdetermined, which is
+    # where the vertex search and the degenerate flag can go wrong.
+    degenerate = sum(assert_matches_oracle(g).degenerate for g in tie_heavy_games(3, 300))
+    assert degenerate > 50
+
+
+@pytest.mark.parametrize("snap", [False, True], ids=["exact", "snapped-float"])
+def test_matches_oracle_on_extensions(snap):
+    rng = random.Random(59)
+    quarters = [F(k, 4) for k in range(8)]
+    for _ in range(25):
+        base = random_generic_game(rng)
+        if snap:
+            params = UnitaryParams.from_radians(
+                rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi)
+            )
+        else:
+            params = UnitaryParams.exact_pi(
+                rng.choice([F(0), F(1, 3), F(1, 2), F(2, 3), F(1)]),
+                rng.choice(quarters),
+                rng.choice(quarters),
+            )
+        ext = build_extension(base, params)
+        assert ext.exact != snap
+        assert_matches_oracle(snapped(ext.game) if snap else ext.game)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 3), (3, 2), (1, 3)])
+def test_matches_oracle_on_other_shapes(shape):
+    rng = random.Random(61)
+    for _ in range(15):
+        values = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(shape[0] * shape[1])]
+        assert_matches_oracle(grid_game(values, *shape))
+
+
+@pytest.mark.parametrize("player", [0, 1])
+def test_positive_scaling_leaves_equilibria_unchanged(player):
+    rng = random.Random(67)
+    factor = F(7, 3)
+    pool = [random_generic_game(rng, 3, 3) for _ in range(5)]
+    pool += list(tie_heavy_games(71, 20))
+    for g in pool:
+        scaled = make_game(
+            g.row_labels,
+            g.col_labels,
+            [
+                [(c[0] * factor, c[1]) if player == 0 else (c[0], c[1] * factor) for c in row]
+                for row in g.payoffs
+            ],
+        )
+        base, moved = support_enumeration(g), support_enumeration(scaled)
+        assert [p[:2] for p in base.pure] == [p[:2] for p in moved.pure]
+        assert [m[0] for m in base.mixed] == [m[0] for m in moved.mixed]
+        assert base.degenerate == moved.degenerate
