@@ -18,7 +18,6 @@ from .ewl import (
     params_from_angles,
     parse_angle,
     payoff_from_state,
-    states_equal,
     unitary_matrix,
 )
 from .extension import (
@@ -27,7 +26,6 @@ from .extension import (
     ExtensionClass,
     InvarianceKind,
     build_extension,
-    build_type_matrix,
     classify,
     empirical_invariance,
     extended_to_json_dict,
@@ -53,7 +51,6 @@ from .nash import (
     mixed_payoff,
     pure_equilibria,
     report_to_json_dict,
-    solve_rational_system,
     support_enumeration,
     verify_equilibrium,
 )
@@ -77,7 +74,6 @@ __all__ = [
     "UnitaryParams",
     "VariantKind",
     "build_extension",
-    "build_type_matrix",
     "classify",
     "closed_form_payoff",
     "empirical_invariance",
@@ -98,8 +94,6 @@ __all__ = [
     "rational",
     "report_to_json_dict",
     "snapped",
-    "solve_rational_system",
-    "states_equal",
     "support_enumeration",
     "unitary_matrix",
     "variant",

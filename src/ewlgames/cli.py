@@ -174,11 +174,7 @@ def cmd_isocheck(args) -> int:
     game_b, _ = _load_game(args.game_b)
     bijection = find_isomorphism(game_a, game_b, tol=args.tol)
     if bijection is None:
-        searched = 1
-        for n in range(2, game_a.n_rows + 1):
-            searched *= n
-        for m in range(2, game_a.n_cols + 1):
-            searched *= m
+        searched = math.factorial(game_a.n_rows) * math.factorial(game_a.n_cols)
         if game_a.shape != game_b.shape:
             print("isomorphic: no (shapes differ)")
         else:

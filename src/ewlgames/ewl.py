@@ -148,12 +148,6 @@ def final_state(p1: UnitaryParams, p2: UnitaryParams) -> tuple[complex, ...]:
     return tuple((v[k] - 1j * v[3 - k]) / _SQRT2 for k in range(4))
 
 
-def states_equal(a, b, tol: float = 1e-12) -> bool:
-    """Equality of unit statevectors up to a global phase."""
-    overlap = sum(x.conjugate() * y for x, y in zip(a, b))
-    return abs(abs(overlap) - 1.0) <= tol
-
-
 @dataclass(frozen=True)
 class MeasurementPair:
     """Diagonal payoff observables for the two players.

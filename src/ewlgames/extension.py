@@ -28,8 +28,8 @@ from fractions import Fraction
 
 from .ewl import UnitaryParams, format_angle
 from .games import (
+    FLOAT_TOL,
     BimatrixGame,
-    Payoff,
     VariantKind,
     find_isomorphism,
     game_to_json_dict,
@@ -100,35 +100,30 @@ def _sin_pi(r: Fraction) -> Fraction | None:
     return _cos_pi(Fraction(1, 2) - r)
 
 
-def classify(params: UnitaryParams, tol: float = 1e-9) -> ExtensionClass:
+def classify(params: UnitaryParams) -> ExtensionClass:
     """Invariance family of an operator.
 
-    Exact parameters are classified by rational arithmetic on the pi
-    multiples; float parameters snap to the grid within ``tol`` (measured as
-    a distance in radians), since the invariant set has measure zero.
+    The operator is reduced to its lattice point (k, l), with theta = pi/2,
+    alpha - beta = k*pi/2 and alpha + beta = l*pi/2: exactly from the pi
+    multiples, or for float parameters by snapping within FLOAT_TOL radians,
+    since the invariant set has measure zero.  Then n = l + k and m = l - k
+    are alpha and beta in units of pi/4, modulo 8, and one rule reads off
+    the family.  Odd k and l give n - m = 2 (mod 4), which no family accepts.
     """
+    non_invariant = ExtensionClass(InvarianceKind.NON_INVARIANT)
     if params.is_exact:
         t, a, b = params.pi_multiples
-        if t != Fraction(1, 2):
-            return ExtensionClass(InvarianceKind.NON_INVARIANT)
-        kinds = {1: InvarianceKind.TYPE_I, 2: InvarianceKind.TYPE_II, 4: InvarianceKind.TYPE_III}
-        kind = kinds.get(a.denominator) if a.denominator == b.denominator else None
-        if kind is None:
-            return ExtensionClass(InvarianceKind.NON_INVARIANT)
         k, l = 2 * (a - b), 2 * (a + b)
-        if k.denominator != 1:
-            return ExtensionClass(InvarianceKind.NON_INVARIANT)
-        return ExtensionClass(kind, (int(k), int(l)))
-
-    if abs(params.theta - _HALF_PI) > tol:
-        return ExtensionClass(InvarianceKind.NON_INVARIANT)
-    diff, total = params.alpha - params.beta, params.alpha + params.beta
-    k = round(diff / _HALF_PI)
-    l = round(total / _HALF_PI)
-    if abs(diff - k * _HALF_PI) > tol or abs(total - l * _HALF_PI) > tol:
-        return ExtensionClass(InvarianceKind.NON_INVARIANT)
-    if k % 2 == 1 and l % 2 == 1:
-        return ExtensionClass(InvarianceKind.NON_INVARIANT)
+        if t != Fraction(1, 2) or k.denominator != 1 or l.denominator != 1:
+            return non_invariant
+        k, l = int(k), int(l)
+    elif abs(params.theta - _HALF_PI) > FLOAT_TOL:
+        return non_invariant
+    else:
+        diff, total = params.alpha - params.beta, params.alpha + params.beta
+        k, l = round(diff / _HALF_PI), round(total / _HALF_PI)
+        if abs(diff - k * _HALF_PI) > FLOAT_TOL or abs(total - l * _HALF_PI) > FLOAT_TOL:
+            return non_invariant
     n, m = (l + k) % 8, (l - k) % 8
     if n in (0, 4) and m in (0, 4):
         kind = InvarianceKind.TYPE_I
@@ -137,54 +132,8 @@ def classify(params: UnitaryParams, tol: float = 1e-9) -> ExtensionClass:
     elif n % 2 == 1 and m % 2 == 1:
         kind = InvarianceKind.TYPE_III
     else:
-        return ExtensionClass(InvarianceKind.NON_INVARIANT)
+        return non_invariant
     return ExtensionClass(kind, (k, l))
-
-
-def _mean(*cells: Payoff) -> Payoff:
-    n = len(cells)
-    return (
-        sum((c[0] for c in cells), Fraction(0)) / n,
-        sum((c[1] for c in cells), Fraction(0)) / n,
-    )
-
-
-_REPRESENTATIVE = {
-    InvarianceKind.TYPE_I: UnitaryParams.exact_pi(Fraction(1, 2), 0, 0),
-    InvarianceKind.TYPE_II: UnitaryParams.exact_pi(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)),
-    InvarianceKind.TYPE_III: UnitaryParams.exact_pi(Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)),
-}
-
-
-def build_type_matrix(game: BimatrixGame, kind: InvarianceKind) -> ExtendedGame:
-    """The exact 3x3 matrix of one invariant family, built symbolically."""
-    if game.shape != (2, 2):
-        raise ValueError(f"extensions need a 2x2 game, got {game.shape}")
-    if kind is InvarianceKind.NON_INVARIANT:
-        raise ValueError("non-invariant operators have no family matrix")
-    d00, d01 = game.payoff(0, 0), game.payoff(0, 1)
-    d10, d11 = game.payoff(1, 0), game.payoff(1, 1)
-    avg4 = _mean(d00, d01, d10, d11)
-    if kind is InvarianceKind.TYPE_I:
-        col = (_mean(d00, d01), _mean(d10, d11))
-        row = (_mean(d00, d10), _mean(d01, d11))
-    elif kind is InvarianceKind.TYPE_II:
-        col = (_mean(d10, d11), _mean(d00, d01))
-        row = (_mean(d01, d11), _mean(d00, d10))
-    else:
-        col = (avg4, avg4)
-        row = (avg4, avg4)
-    grid = (
-        (d00, d01, col[0]),
-        (d10, d11, col[1]),
-        (row[0], row[1], avg4),
-    )
-    return ExtendedGame(
-        game=BimatrixGame(EXT_LABELS, EXT_LABELS, grid),
-        source=game,
-        params=_REPRESENTATIVE[kind],
-        exact=True,
-    )
 
 
 def _trig_values(params: UnitaryParams):
@@ -277,7 +226,7 @@ def empirical_invariance(game: BimatrixGame, params: UnitaryParams) -> bool:
 
     Builds the extension of the game and of its three relabeled variants and
     returns True iff each variant's extension is strongly isomorphic to the
-    base one.  Float-built extensions are compared within 1e-9.  On
+    base one.  Float-built extensions are compared within FLOAT_TOL.  On
     non-generic games the verdict can be an accident of payoff ties, so a
     warning is emitted.
     """
@@ -288,7 +237,7 @@ def empirical_invariance(game: BimatrixGame, params: UnitaryParams) -> bool:
             stacklevel=2,
         )
     base = build_extension(game, params)
-    tol = 0.0 if base.exact else 1e-9
+    tol = 0.0 if base.exact else FLOAT_TOL
     for kind in VariantKind:
         other = build_extension(variant(game, kind), params)
         if find_isomorphism(base.game, other.game, tol=tol) is None:

@@ -8,6 +8,7 @@ comparisons are exact by default.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -16,15 +17,25 @@ from typing import Iterable, Optional, Sequence
 
 Payoff = tuple[Fraction, Fraction]
 
+# The float policy.  Float angles and float-built payoffs count as equal
+# within FLOAT_TOL (radians or payoff units), and float-built payoffs are
+# snapped to fractions with denominators up to SNAP_DENOMINATOR before they
+# are solved exactly.
+FLOAT_TOL = 1e-9
+SNAP_DENOMINATOR = 10**9
+
 
 def rational(value: int | float | str | Fraction) -> Fraction:
     """Coerce a payoff entry to an exact Fraction.
 
     Strings may be integers ("3"), fractions ("-2/7") or decimals ("2.25"),
-    all read exactly.  Floats keep their exact binary value.
+    all read exactly.  Floats keep their exact binary value; a non-finite
+    float raises ValueError.
     """
     if isinstance(value, str):
         return Fraction(value.strip())
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"payoff {value!r} is not a finite number")
     return Fraction(value)
 
 
@@ -192,23 +203,17 @@ def is_generic(game: BimatrixGame) -> bool:
     return all(len(set(game.player_values(p))) == size for p in (0, 1))
 
 
-def random_generic_game(
-    rng,
-    rows: int = 2,
-    cols: int = 2,
-    value_limit: int = 40,
-    denominator_limit: int = 12,
-) -> BimatrixGame:
+def random_generic_game(rng, rows: int = 2, cols: int = 2) -> BimatrixGame:
     """A random rational game whose per-player payoffs are pairwise distinct.
 
-    ``rng`` is a `random.Random`; distinct numerators over one denominator
-    per player make the game generic by construction.
+    ``rng`` is a `random.Random`; distinct numerators in -40..40 over one
+    denominator in 1..12 per player make the game generic by construction.
     """
     size = rows * cols
     values = []
     for _ in (0, 1):
-        nums = rng.sample(range(-value_limit, value_limit + 1), size)
-        den = rng.randint(1, denominator_limit)
+        nums = rng.sample(range(-40, 41), size)
+        den = rng.randint(1, 12)
         values.append([Fraction(n, den) for n in nums])
     grid = tuple(
         tuple((values[0][i * cols + j], values[1][i * cols + j]) for j in range(cols))
@@ -221,15 +226,15 @@ def random_generic_game(
     )
 
 
-def snapped(game: BimatrixGame, max_denominator: int = 10**9) -> BimatrixGame:
-    """Payoffs re-approximated with bounded denominators.
+def snapped(game: BimatrixGame) -> BimatrixGame:
+    """Payoffs re-approximated with denominators up to SNAP_DENOMINATOR.
 
     Used before solving float-built games so that coincidences holding to
     within the float tolerance become exact ties.
     """
     grid = tuple(
         tuple(
-            (c[0].limit_denominator(max_denominator), c[1].limit_denominator(max_denominator))
+            (c[0].limit_denominator(SNAP_DENOMINATOR), c[1].limit_denominator(SNAP_DENOMINATOR))
             for c in row
         )
         for row in game.payoffs

@@ -150,29 +150,6 @@ def _integer_matrix(values: list[list[Fraction]]) -> tuple[list[list[int]], int]
     return [[v.numerator * (scale // v.denominator) for v in row] for row in values], scale
 
 
-def solve_rational_system(
-    rows: list[list[Fraction]], rhs: list[Fraction]
-) -> tuple[list[Fraction] | None, list[list[Fraction]]]:
-    """Exact solution of a rational linear system.
-
-    Returns (particular, nullspace): one solution with all free variables
-    set to zero (None if the system is inconsistent) and a basis of the
-    homogeneous solutions, the reduced row-echelon one with a 1 in its free
-    variable.  An empty nullspace means the solution, when it exists, is
-    unique.  Each row is scaled to integers and solved by fraction-free
-    elimination.
-    """
-    int_rows, _ = _integer_matrix([[Fraction(v) for v in (*row, r)] for row, r in zip(rows, rhs)])
-    solved = _eliminate(int_rows, len(rows[0]) if rows else 0)
-    if solved is None:
-        return None, []
-    nums, den, nullspace = solved
-    return (
-        [Fraction(v, den) for v in nums],
-        [[Fraction(v, den) for v in vec] for vec in nullspace],
-    )
-
-
 def pure_equilibria(game: BimatrixGame) -> list[tuple[int, int, Payoff]]:
     """All positions (i, j) where both payoffs are weakly best responses."""
     found = []

@@ -23,7 +23,7 @@ from .ewl import (
     final_state,
     payoff_from_state,
 )
-from .extension import InvarianceKind, build_extension, build_type_matrix, classify
+from .extension import InvarianceKind, build_extension, classify
 from .games import (
     BimatrixGame,
     VariantKind,
@@ -266,14 +266,13 @@ def run_reference_suite(pd: BimatrixGame | None = None, seed: int = 20240901) ->
         sum((c[0] for c in d), F(0)) / 4,
         sum((c[1] for c in d), F(0)) / 4,
     )
-    report = support_enumeration(build_type_matrix(game, InvarianceKind.TYPE_II).game)
+    type_ii = UnitaryParams.exact_pi(F(1, 2), F(1, 2), F(1, 2))
+    report = support_enumeration(build_extension(game, type_ii).game)
     ok = not report.pure and report.mixed == ((quarter_profile, avg4),)
     rng = random.Random(seed)
     for _ in range(3):
         r, s, t, p = random_dilemma_values(rng)
-        rep = support_enumeration(
-            build_type_matrix(dilemma_game(r, s, t, p), InvarianceKind.TYPE_II).game
-        )
+        rep = support_enumeration(build_extension(dilemma_game(r, s, t, p), type_ii).game)
         value = (r + s + t + p) / 4
         ok = ok and not rep.pure and rep.mixed == ((quarter_profile, (value, value)),)
     add(

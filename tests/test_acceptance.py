@@ -22,7 +22,6 @@ from ewlgames import (
     UnitaryParams,
     VariantKind,
     build_extension,
-    build_type_matrix,
     classify,
     closed_form_payoff,
     empirical_invariance,
@@ -37,6 +36,7 @@ from ewlgames.selfcheck import (
     max_oracle_deviation,
     random_dilemma_values,
 )
+from family_oracle import build_type_matrix
 
 HALF = F(1, 2)
 PD = make_game(("C", "D"), ("C", "D"), [[(3, 3), (0, 5)], [(5, 0), (1, 1)]])

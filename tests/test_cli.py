@@ -106,6 +106,29 @@ def test_game_schema_error_is_input_error(write_json, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("number", ["Infinity", "-Infinity", "1e400", "NaN"])
+def test_non_finite_payoff_is_input_error(tmp_path, capsys, number):
+    # Python's json reads all four as non-finite floats.
+    path = tmp_path / "pd.json"
+    path.write_text(
+        '{"rows": ["C", "D"], "cols": ["C", "D"], '
+        f'"payoffs": [[[{number}, 3], [0, 5]], [[5, 0], [1, 1]]]}}'
+    )
+    game = str(path)
+    angles = ["--theta", "0", "--alpha", "0", "--beta", "0"]
+    for argv in (
+        ["solve", game],
+        ["extend", game, *angles],
+        ["sweep", game, "--thetas", "0", "--alphas", "0", "--betas", "0"],
+        ["isocheck", game, game],
+        ["reproduce", "--pd-file", game],
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert "Traceback" not in err
+
+
 def test_solve_dilemma(pd_file, capsys):
     code, out, _ = run(capsys, "solve", pd_file)
     assert code == 0

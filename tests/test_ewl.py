@@ -21,7 +21,6 @@ from ewlgames import (
     params_from_angles,
     parse_angle,
     payoff_from_state,
-    states_equal,
     unitary_matrix,
 )
 from ewlgames.selfcheck import oracle_deviation
@@ -93,7 +92,7 @@ def test_identity_pair_returns_initial_state():
 
 def test_flip_pair_reaches_11():
     state = final_state(IX_OP, IX_OP)
-    assert states_equal(state, KET["11"])
+    assert abs(abs(np.vdot(state, KET["11"])) - 1.0) <= 1e-12  # equal up to phase
     ix = 1j * np.array([[0, 1], [1, 0]], dtype=complex)
     assert np.allclose(state, _reference_final_state(ix, ix), atol=1e-12)
 
@@ -103,7 +102,7 @@ def test_q_pair_returns_to_00_up_to_phase():
     # pair lands back on |00>; this matches the tabulated extension, where
     # the (Q, Q) cell carries the game's top-left payoffs.
     state = final_state(Q_OP, Q_OP)
-    assert states_equal(state, KET["00"])
+    assert abs(abs(np.vdot(state, KET["00"])) - 1.0) <= 1e-12  # equal up to phase
     q = np.diag([1j, -1j])
     assert np.allclose(state, _reference_final_state(q, q), atol=1e-12)
     assert np.allclose(state, -KET["00"], atol=1e-12)

@@ -8,6 +8,7 @@ import pytest
 
 from ewlgames import (
     EXT_LABELS,
+    ExtensionClass,
     I_OP,
     IX_OP,
     InvarianceKind,
@@ -15,7 +16,6 @@ from ewlgames import (
     UnitaryParams,
     VariantKind,
     build_extension,
-    build_type_matrix,
     classify,
     closed_form_payoff,
     empirical_invariance,
@@ -25,6 +25,7 @@ from ewlgames import (
     random_generic_game,
     variant,
 )
+from family_oracle import build_type_matrix
 
 HALF = F(1, 2)
 
@@ -161,6 +162,18 @@ def test_classify_float_parameters_snap_to_grid():
     assert classify(nudged).kind is InvarianceKind.TYPE_II
     off = UnitaryParams.from_radians(half_pi, half_pi + 1e-5, half_pi)
     assert classify(off).kind is InvarianceKind.NON_INVARIANT
+    # The float tolerance is 1e-9 rad on alpha - beta and alpha + beta.
+    within = UnitaryParams.from_radians(half_pi, half_pi + 9e-10, half_pi)
+    assert classify(within).kind is InvarianceKind.TYPE_II
+    beyond = UnitaryParams.from_radians(half_pi, half_pi + 1.1e-9, half_pi)
+    assert classify(beyond).kind is InvarianceKind.NON_INVARIANT
+    # k = l = 1: on the lattice, but odd k and l fit no family.
+    odd = UnitaryParams.from_radians(half_pi, half_pi, 0.0)
+    assert classify(odd) == ExtensionClass(InvarianceKind.NON_INVARIANT)
+    exact_iii = UnitaryParams.exact_pi(HALF, F(7, 4), F(1, 4))
+    float_iii = UnitaryParams.from_radians(exact_iii.theta, exact_iii.alpha, exact_iii.beta)
+    assert classify(float_iii) == classify(exact_iii)
+    assert classify(float_iii) == ExtensionClass(InvarianceKind.TYPE_III, (3, 4))
 
 
 # --- family matrices -----------------------------------------------------------

@@ -14,10 +14,10 @@ from ewlgames import (
     build_extension,
     make_game,
     mixed_payoff,
+    nash,
     pure_equilibria,
     random_generic_game,
     snapped,
-    solve_rational_system,
     support_enumeration,
     verify_equilibrium,
 )
@@ -51,18 +51,35 @@ HALF_SUPPORT = profile((F(1, 2), 0, F(1, 2)), (F(1, 2), 0, F(1, 2)))
 # --- linear solver ---------------------------------------------------------
 
 
+def eliminate(rows, rhs):
+    """Solve a rational system with `nash._eliminate`, after scaling it to integers.
+
+    Asserts that the solution equals the `Fraction` oracle's and returns it
+    in the oracle's form, (particular, nullspace).
+    """
+    int_rows, _ = nash._integer_matrix([[*row, r] for row, r in zip(rows, rhs)])
+    solved = nash._eliminate(int_rows, len(rows[0]))
+    if solved is None:
+        got = None, []
+    else:
+        nums, den, nullspace = solved
+        got = [F(v, den) for v in nums], [[F(v, den) for v in vec] for vec in nullspace]
+    assert got == nash_oracle.solve_rational_system(rows, rhs)
+    return got
+
+
 def test_solver_unique_solution():
-    sol, null = solve_rational_system([[F(2), F(1)], [F(1), F(-1)]], [F(4), F(-1)])
+    sol, null = eliminate([[F(2), F(1)], [F(1), F(-1)]], [F(4), F(-1)])
     assert sol == [F(1), F(2)] and null == []
 
 
 def test_solver_inconsistent():
-    sol, null = solve_rational_system([[F(1), F(1)], [F(2), F(2)]], [F(1), F(3)])
+    sol, null = eliminate([[F(1), F(1)], [F(2), F(2)]], [F(1), F(3)])
     assert sol is None
 
 
 def test_solver_underdetermined_nullspace():
-    sol, null = solve_rational_system([[F(1), F(1), F(1)]], [F(1)])
+    sol, null = eliminate([[F(1), F(1), F(1)]], [F(1)])
     assert sol is not None and len(null) == 2
     for vec in null:
         assert sum(vec) == 0
@@ -93,8 +110,7 @@ def test_solver_underdetermined_nullspace():
     ids=["overdetermined-consistent", "zero-leading-column", "denominators-1e9"],
 )
 def test_solver_matches_fraction_oracle(rows, rhs, expected):
-    got = solve_rational_system(rows, rhs)
-    assert got == nash_oracle.solve_rational_system(rows, rhs)
+    got = eliminate(rows, rhs)
     if expected is not None:
         assert got == expected
     sol, null = got
