@@ -158,6 +158,11 @@ def cmd_solve(args) -> int:
             EXIT_DOMAIN,
         )
     if not exact:
+        if any(abs(x) > sys.float_info.max for p in (0, 1) for x in game.player_values(p)):
+            raise CliError(
+                f"{args.game} is marked float-built but holds a payoff beyond the float range",
+                EXIT_BAD_INPUT,
+            )
         game = snapped(game)
     report = support_enumeration(game)
     _print_report(report, game, exact)
@@ -227,12 +232,20 @@ def cmd_sweep(args) -> int:
         writer.writerow(
             ["theta", "alpha", "beta", "class", "n_pure", "n_mixed", "payoff1", "payoff2"]
         )
+        # Many points share a payoff grid, so each distinct grid is solved once.
+        # The memo belongs to this call, so it never outgrows one sweep.
+        reports: dict[tuple, EquilibriumReport] = {}
         for tokens, params in points:
-            ext = build_extension(game, params)
+            try:
+                ext = build_extension(game, params)
+            except ValueError as exc:
+                raise CliError(str(exc), EXIT_DOMAIN) from exc
             cls = classify(params)
             if ext.exact or args.allow_float_solve:
                 target = ext.game if ext.exact else snapped(ext.game)
-                report = support_enumeration(target)
+                report = reports.get(target.payoffs)
+                if report is None:
+                    report = reports[target.payoffs] = support_enumeration(target)
                 first = None
                 if report.pure:
                     first = report.pure[0][2]

@@ -59,6 +59,9 @@ class UnitaryParams:
     def from_radians(cls, theta: float, alpha: float, beta: float) -> "UnitaryParams":
         if not -1e-12 <= theta <= math.pi + 1e-12:
             raise ValueError(f"theta = {theta} outside [0, pi]")
+        for name, value in (("alpha", alpha), ("beta", beta)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} = {value} is not a finite angle")
         return cls(
             theta=min(max(theta, 0.0), math.pi),
             alpha=alpha % _TWO_PI,

@@ -25,6 +25,7 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import mul
 
 from .ewl import UnitaryParams, format_angle
 from .games import (
@@ -36,6 +37,7 @@ from .games import (
     is_generic,
     variant,
 )
+from .nash import _integer_matrix
 
 EXT_LABELS = ("I", "iX", "U")
 
@@ -80,26 +82,6 @@ class ExtendedGame:
     exact: bool
 
 
-def _cos_pi(r: Fraction) -> Fraction | None:
-    """cos(r*pi) when it is rational, else None.
-
-    By Niven's theorem the rational values of cosine at rational multiples
-    of pi are exactly 0, +-1/2 and +-1, reached at denominators 1, 2, 3.
-    """
-    r = r % 2
-    if r.denominator == 1:
-        return Fraction(1) if r == 0 else Fraction(-1)
-    if r.denominator == 2:
-        return Fraction(0)
-    if r.denominator == 3:
-        return Fraction(1, 2) if r.numerator % 6 in (1, 5) else Fraction(-1, 2)
-    return None
-
-
-def _sin_pi(r: Fraction) -> Fraction | None:
-    return _cos_pi(Fraction(1, 2) - r)
-
-
 def classify(params: UnitaryParams) -> ExtensionClass:
     """Invariance family of an operator.
 
@@ -136,29 +118,34 @@ def classify(params: UnitaryParams) -> ExtensionClass:
     return ExtensionClass(kind, (k, l))
 
 
-def _trig_values(params: UnitaryParams):
-    """cos(theta), cos(2a), sin(2a), cos(2b), sin(2b) and sin(2(a - b)), and exactness.
+# 2*cos(k*pi/6) at the k where it is an integer, and (cos, sin)(q*pi/2).
+_TWICE_COS_SIXTHS = {0: 2, 2: 1, 3: 0, 4: -1, 6: -2, 8: -1, 9: 0, 10: 1}
+_COS_SIN_QUARTERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
-    The six values are Fractions when the angles are exact multiples of pi
-    and all six are rational (by Niven's theorem: every operator on the
+
+def _trig_values(params: UnitaryParams):
+    """2*cos(theta), cos(2a), sin(2a), cos(2b), sin(2b) and sin(2(a - b)), and exactness.
+
+    By Niven's theorem the six values are all rational exactly when theta is
+    a multiple of pi/3 or pi/2 and alpha and beta are multiples of pi/4 (the
     quarter-pi grid, in particular I, iX and Q, at theta in {0, pi/3, pi/2,
-    2pi/3, pi}); otherwise all six are floats.
+    2pi/3, pi}).  Then 2*cos(theta) lies in {0, +-1, +-2} and the other five
+    in {0, +-1}, and all six are ints read off the pi multiples; otherwise
+    all six are floats.
     """
     if params.is_exact:
         t, a, b = params.pi_multiples
-        values = (
-            _cos_pi(t),
-            _cos_pi(2 * a),
-            _sin_pi(2 * a),
-            _cos_pi(2 * b),
-            _sin_pi(2 * b),
-            _sin_pi(2 * (a - b)),
-        )
-        if None not in values:
-            return values, True
+        if t.denominator in (1, 2, 3) and 4 % a.denominator == 0 and 4 % b.denominator == 0:
+            sixths = t.numerator * (6 // t.denominator) % 12
+            quarters_a = a.numerator * (4 // a.denominator) % 4  # 2a in units of pi/2
+            quarters_b = b.numerator * (4 // b.denominator) % 4
+            c2a, s2a = _COS_SIN_QUARTERS[quarters_a]
+            c2b, s2b = _COS_SIN_QUARTERS[quarters_b]
+            s2ab = _COS_SIN_QUARTERS[(quarters_a - quarters_b) % 4][1]
+            return (_TWICE_COS_SIXTHS[sixths], c2a, s2a, c2b, s2b, s2ab), True
     t, a, b = params.theta, params.alpha, params.beta
     values = (
-        math.cos(t),
+        2 * math.cos(t),
         math.cos(2 * a),
         math.sin(2 * a),
         math.cos(2 * b),
@@ -168,23 +155,26 @@ def _trig_values(params: UnitaryParams):
     return values, False
 
 
-def _outcome_weights(cos_t, c2a, s2a, c2b, s2b, s2ab):
-    """Outcome weights (w00, w01, w10, w11) of the five new cells.
+def _outcome_weights(two_cos_t, c2a, s2a, c2b, s2b, s2ab):
+    """Sixteen times the outcome weights (w00, w01, w10, w11) of the five new cells.
 
     The cells come in the order (I, U), (iX, U), (U, I), (U, iX), (U, U).
     Each weight is the probability |<ij|Psi>|^2 of the EWL protocol in
-    double-angle form, so the same expressions run over Fraction or float.
+    double-angle form, times 16: one polynomial that is an int on the exact
+    route and a float on the float route.
     """
-    c2h, s2h = (1 + cos_t) / 2, (1 - cos_t) / 2  # cos^2(theta/2), sin^2(theta/2)
-    ca2, sa2 = (1 + c2a) / 2, (1 - c2a) / 2  # cos^2(alpha), sin^2(alpha)
-    cb2, sb2 = (1 + c2b) / 2, (1 - c2b) / 2
-    mid = (1 + s2ab) * c2h * s2h  # = (cos + sin)^2(a - b) * sin^2(theta) / 4
+    h, hb = 2 + two_cos_t, 2 - two_cos_t  # 4 cos^2(theta/2), 4 sin^2(theta/2)
+    # 16 cos^2(alpha) cos^2(theta/2), 16 sin^2(alpha) cos^2(theta/2), and the
+    # same with beta and sin^2(theta/2).
+    ca, sa = 2 * (1 + c2a) * h, 2 * (1 - c2a) * h
+    cb, sb = 2 * (1 + c2b) * hb, 2 * (1 - c2b) * hb
+    mid = (1 + s2ab) * h * hb  # = 4 (cos + sin)^2(a - b) * sin^2(theta)
     return (
-        (ca2 * c2h, cb2 * s2h, sb2 * s2h, sa2 * c2h),
-        (sb2 * s2h, sa2 * c2h, ca2 * c2h, cb2 * s2h),
-        (ca2 * c2h, sb2 * s2h, cb2 * s2h, sa2 * c2h),
-        (sb2 * s2h, ca2 * c2h, sa2 * c2h, cb2 * s2h),
-        ((c2a * c2h + s2b * s2h) ** 2, mid, mid, (s2a * c2h - c2b * s2h) ** 2),
+        (ca, cb, sb, sa),
+        (sb, sa, ca, cb),
+        (ca, sb, cb, sa),
+        (sb, ca, sa, cb),
+        ((c2a * h + s2b * hb) ** 2, mid, mid, (s2a * h - c2b * hb) ** 2),
     )
 
 
@@ -192,22 +182,30 @@ def build_extension(game: BimatrixGame, params: UnitaryParams) -> ExtendedGame:
     """The 3x3 extension of a 2x2 game by the strategy U(theta, alpha, beta).
 
     The classical block is always embedded exactly.  The five new cells are
-    weighted sums of the four classical cells, evaluated in rational
-    arithmetic whenever the angles allow it; otherwise they are computed in
-    floats and the result is marked ``exact=False``.
+    weighted sums of the four classical cells.  When the angles allow it,
+    each player's payoffs are scaled to integers and every cell is one
+    integer sum over 16 times their common denominator; otherwise the cells
+    are computed in floats and the result is marked ``exact=False``.  A
+    float-route cell that overflows raises ValueError.
     """
     if game.shape != (2, 2):
         raise ValueError(f"extensions need a 2x2 game, got {game.shape}")
-    d = [game.payoff(0, 0), game.payoff(0, 1), game.payoff(1, 0), game.payoff(1, 1)]
+    cells = [game.payoff(0, 0), game.payoff(0, 1), game.payoff(1, 0), game.payoff(1, 1)]
     values, exact = _trig_values(params)
-    if not exact:
-        d = [(float(x), float(y)) for x, y in d]
-    new = []
-    for weights in _outcome_weights(*values):
-        u1 = sum(w * c[0] for w, c in zip(weights, d))
-        u2 = sum(w * c[1] for w, c in zip(weights, d))
-        new.append((Fraction(u1), Fraction(u2)))
-    u_iu, u_ixu, u_ui, u_uix, u_uu = new
+    weights = _outcome_weights(*values)
+    columns = []  # each player's five new payoffs
+    for player in (0, 1):
+        if exact:
+            (xs,), scale = _integer_matrix([[c[player] for c in cells]])
+            column = [Fraction(sum(map(mul, w, xs)), 16 * scale) for w in weights]
+        else:
+            try:
+                xs = [float(c[player]) for c in cells]
+                column = [Fraction(sum(map(mul, w, xs)) / 16) for w in weights]
+            except (OverflowError, ValueError) as exc:  # beyond the float range
+                raise ValueError(f"payoffs too large for float evaluation: {exc}") from exc
+        columns.append(column)
+    u_iu, u_ixu, u_ui, u_uix, u_uu = zip(*columns)
     grid = (
         (game.payoff(0, 0), game.payoff(0, 1), u_iu),
         (game.payoff(1, 0), game.payoff(1, 1), u_ixu),

@@ -1,16 +1,20 @@
 """Command-line interface: commands, exit codes, and deterministic output."""
 
 import csv
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ewlgames
+from ewlgames import cli
 from ewlgames.cli import main
 
 PD_JSON = {
@@ -129,6 +133,22 @@ def test_non_finite_payoff_is_input_error(tmp_path, capsys, number):
         assert "Traceback" not in err
 
 
+def test_payoff_beyond_float_range(write_json, capsys):
+    huge = dict(PD_JSON, payoffs=[[["1e400", "3"], ["0", "5"]], [["5", "0"], ["1", "1"]]])
+    game = write_json("huge.json", huge)
+    float_built = write_json("huge-float.json", dict(huge, exact=False))
+    code, out, _ = run(capsys, "extend", game, "--theta", "0", "--alpha", "1/2pi", "--beta", "0")
+    assert code == 0 and "exact: true" in out
+    for argv, want in (
+        (["extend", game, "--theta", "0.8", "--alpha", "0", "--beta", "0"], 3),
+        (["sweep", game, "--thetas", "0.8", "--alphas", "0", "--betas", "0"], 3),
+        (["solve", float_built, "--allow-float-solve"], 2),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == want, argv
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
 def test_solve_dilemma(pd_file, capsys):
     code, out, _ = run(capsys, "solve", pd_file)
     assert code == 0
@@ -231,6 +251,59 @@ def test_sweep_csv(pd_file, capsys):
     assert by_key[("1/2pi", "1/2pi", "1/2pi")][3] == "TypeII"
     assert by_key[("1/2pi", "1/2pi", "1/2pi")][6] == "9/4"
     assert by_key[("0", "0", "1/2pi")][3] == "NonInvariant"
+
+
+# The 320-point exact grid: five Niven thetas, and alpha and beta over the
+# eight quarter-pi multiples.
+QUARTER_PI = "0,1/4pi,1/2pi,3/4pi,pi,5/4pi,3/2pi,7/4pi"
+FULL_GRID = ["--thetas", "0,1/3pi,1/2pi,2/3pi,pi", "--alphas", QUARTER_PI, "--betas", QUARTER_PI]
+
+
+def test_full_grid_sweep_csv_is_unchanged(pd_file, capsys):
+    code, out, _ = run(capsys, "sweep", pd_file, *FULL_GRID)
+    assert code == 0
+    assert hashlib.md5(out.encode()).hexdigest() == "4f82532571968410f9fefbb42c4a4f9c"
+
+
+def counting_solver(monkeypatch):
+    calls = []
+
+    def solve(game):
+        calls.append(game.payoffs)
+        return ewlgames.support_enumeration(game)
+
+    monkeypatch.setattr(cli, "support_enumeration", solve)
+    return calls
+
+
+def test_sweep_solves_each_distinct_grid_once(pd_file, capsys, monkeypatch):
+    calls = counting_solver(monkeypatch)
+    code, out, _ = run(capsys, "sweep", pd_file, *FULL_GRID)
+    assert code == 0 and len(out.splitlines()) == 1 + 320
+    assert len(calls) == len(set(calls)) == 45
+
+
+def test_float_sweep_equals_pointwise_solves(pd_file, capsys, monkeypatch):
+    # At theta = 0 beta drops out, so the three betas share one snapped grid
+    # for each alpha, and the memo is hit.
+    thetas, alphas, betas = ["0", "0.5"], ["0.3", "1/2pi"], ["0", "0.4", "1.1"]
+    grid = ["--thetas", ",".join(thetas), "--alphas", ",".join(alphas),
+            "--betas", ",".join(betas), "--allow-float-solve"]
+    calls = counting_solver(monkeypatch)
+    code, out, _ = run(capsys, "sweep", pd_file, *grid)
+    assert code == 0
+    assert len(calls) < 12
+    pointwise = []
+    for t in thetas:
+        for a in alphas:
+            for b in betas:
+                code, one, _ = run(capsys, "sweep", pd_file, "--thetas", t, "--alphas", a,
+                                   "--betas", b, "--allow-float-solve")
+                assert code == 0
+                pointwise.append(one.splitlines()[1])
+    rows = out.splitlines()
+    assert rows[1:] == pointwise
+    assert all(row.split(",")[4] for row in pointwise)  # every point was solved
 
 
 @pytest.mark.parametrize("thetas, code", [("1/2pi,bogus", 2), ("1/2pi,2pi", 3)])
@@ -349,3 +422,91 @@ def test_cli_import_loads_no_numpy():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+# --- fuzzing: any angle string or JSON document ends in a clean exit -----------
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=20,
+)
+payoff_entries = (
+    st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.fractions().map(str)
+    | st.sampled_from(["2.25", "1e400", "-1e-400"])
+)
+bad_cells = st.sampled_from([["1/0", "1"], ["Infinity", "0"], ["NaN", "0"], ["x", "1"], [1]])
+
+
+@st.composite
+def game_documents(draw):
+    """Game-shaped documents, mostly well formed, so that most reach the solver.
+
+    At most one field, or one payoff cell, is replaced by something malformed.
+    """
+    n, m = draw(st.sampled_from([1, 2, 2, 3])), draw(st.sampled_from([1, 2, 2, 3]))
+    document = {
+        "rows": draw(st.lists(st.text(max_size=3), min_size=n, max_size=n, unique=True)),
+        "cols": draw(st.lists(st.text(max_size=3), min_size=m, max_size=m, unique=True)),
+        "payoffs": draw(
+            st.lists(
+                st.lists(st.lists(payoff_entries, min_size=2, max_size=2), min_size=m, max_size=m),
+                min_size=n,
+                max_size=n,
+            )
+        ),
+    }
+    flaw = draw(st.sampled_from([None, None, None, "rows", "cols", "payoffs", "cell", "exact"]))
+    if flaw in ("rows", "cols", "payoffs", "exact"):
+        document[flaw] = draw(json_values)
+    elif flaw == "cell":
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, m - 1))
+        document["payoffs"][i][j] = draw(bad_cells | json_values)
+    return document
+
+
+angle_tokens = st.text(max_size=12) | st.from_regex(r"-?[0-9]{1,3}(/[0-9]{1,2})?pi|[0-9.e+-]{1,8}")
+
+
+def run_quietly(*argv):
+    """main(argv) with its output captured, asserting a clean documented exit."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    assert code in (0, 2, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    return code
+
+
+@pytest.fixture(scope="module")
+def pd_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "pd.json"
+    path.write_text(json.dumps(PD_JSON))
+    return str(path)
+
+
+@settings(max_examples=50, deadline=None)
+@given(theta=angle_tokens, alpha=angle_tokens, beta=angle_tokens)
+def test_fuzz_angle_strings(pd_path, theta, alpha, beta):
+    angles = [f"--theta={theta}", f"--alpha={alpha}", f"--beta={beta}"]
+    run_quietly("classify", *angles)
+    run_quietly("extend", pd_path, *angles)
+
+
+@settings(
+    max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    document=json_values | game_documents(),
+    theta=st.sampled_from(["0.8", "1/3pi"]) | angle_tokens,  # float and exact routes
+)
+def test_fuzz_json_documents(tmp_path, document, theta):
+    # The file is rewritten for every example, so sharing tmp_path is safe.
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(document))
+    run_quietly("solve", str(path))
+    run_quietly("solve", str(path), "--allow-float-solve")
+    run_quietly("extend", str(path), f"--theta={theta}", "--alpha=1/4pi", "--beta=1/2pi")

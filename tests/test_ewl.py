@@ -63,6 +63,14 @@ def test_theta_out_of_range_rejected():
         UnitaryParams.from_radians(math.pi + 1e-6, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["alpha", "beta"])
+def test_non_finite_phase_rejected(name, value):
+    angles = {"theta": math.pi / 2, "alpha": 0.0, "beta": 0.0, name: value}
+    with pytest.raises(ValueError, match=f"{name} = .* not a finite angle"):
+        UnitaryParams.from_radians(**angles)
+
+
 def test_phases_reduce_modulo_two_pi():
     p = UnitaryParams.exact_pi(0, F(5, 2), F(-1, 4))
     assert p.pi_multiples == (F(0), F(1, 2), F(7, 4))

@@ -25,7 +25,7 @@ from ewlgames import (
     random_generic_game,
     variant,
 )
-from family_oracle import build_type_matrix
+from family_oracle import build_type_matrix, oracle_extension_grid
 
 HALF = F(1, 2)
 
@@ -301,6 +301,32 @@ def test_exact_cells_match_closed_form(pd, theta, alpha, beta):
         got = ext.game.payoff(i, j)
         assert abs(float(got[0]) - want[0]) <= 1e-12
         assert abs(float(got[1]) - want[1]) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 6, 8, 12])
+def test_integer_route_matches_fraction_formula(d):
+    # Every operator with theta, alpha, beta = i*pi/d: the exact cells equal
+    # the Fraction formula's, and the float cells agree with its floats.
+    rng = random.Random(2010)
+    games = [random_generic_game(rng) for _ in range(2)]
+    operators = [
+        UnitaryParams.exact_pi(F(i, d), F(j, d), F(k, d))
+        for i in range(d + 1)
+        for j in range(2 * d)
+        for k in range(2 * d)
+    ]
+    for g in games:
+        for p in operators:
+            ext = build_extension(g, p)
+            want, exact = oracle_extension_grid(g, p)
+            assert ext.exact == exact, p
+            if exact:
+                assert ext.game.payoffs == want, p
+                continue
+            for got_row, want_row in zip(ext.game.payoffs, want):
+                for got, expected in zip(got_row, want_row):
+                    assert abs(float(got[0]) - float(expected[0])) <= 1e-12, p
+                    assert abs(float(got[1]) - float(expected[1])) <= 1e-12, p
 
 
 def test_irrational_angles_fall_back_to_float(pd):
