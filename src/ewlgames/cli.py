@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
+import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .ewl import UnitaryParams, parse_angle, params_from_angles
@@ -39,13 +42,44 @@ def _load_json(path: str) -> dict:
             return json.load(handle)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", EXIT_BAD_INPUT) from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal too long to read
         raise CliError(f"{path} is not valid JSON: {exc}", EXIT_BAD_INPUT) from exc
 
 
-def _open_output(path: str, newline: str | None = None):
+@contextmanager
+def _rendering():
+    """Make a value with too many digits to print, inside the block, an input error.
+
+    Commands render all their output before writing any of it, so such a
+    value leaves no partial output behind.
+    """
     try:
-        return open(path, "w", newline=newline, encoding="utf-8")
+        yield
+    except ValueError as exc:  # str() of an int beyond sys.get_int_max_str_digits()
+        raise CliError(f"a value has too many digits to print: {exc}", EXIT_BAD_INPUT) from exc
+
+
+def _json_text(data: dict) -> str:
+    return json.dumps(data, indent=2) + "\n"
+
+
+def _write_output(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` whole or not at all.
+
+    The text goes to a temporary file beside ``path``, which replaces
+    ``path`` only once it is complete.  On any failure the temporary file is
+    removed, and a file that was already at ``path`` is left as it was.
+    """
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        handle = open(tmp, "x", newline="", encoding="utf-8")
+        try:
+            with handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc}", EXIT_BAD_INPUT) from exc
 
@@ -83,7 +117,7 @@ def _fmt(value: Fraction, exact: bool) -> str:
     return str(value) if exact else format(float(value), ".12g")
 
 
-def _print_game_table(game: BimatrixGame, exact: bool) -> None:
+def _game_table(game: BimatrixGame, exact: bool) -> str:
     header = [""] + list(game.col_labels)
     rows = [header]
     for i, label in enumerate(game.row_labels):
@@ -92,30 +126,32 @@ def _print_game_table(game: BimatrixGame, exact: bool) -> None:
         ]
         rows.append([label] + cells)
     widths = [max(len(r[c]) for r in rows) for c in range(len(header))]
-    for row in rows:
-        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+    return "\n".join(
+        "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows
+    )
 
 
-def _print_report(report: EquilibriumReport, game: BimatrixGame, exact: bool) -> None:
-    print("pure equilibria:")
+def _report_text(report: EquilibriumReport, game: BimatrixGame, exact: bool) -> str:
+    lines = ["pure equilibria:"]
     if not report.pure:
-        print("  none")
+        lines.append("  none")
     for i, j, pay in report.pure:
-        print(
+        lines.append(
             f"  ({game.row_labels[i]}, {game.col_labels[j]})  "
             f"payoff ({_fmt(pay[0], exact)}, {_fmt(pay[1], exact)})"
         )
-    print("mixed equilibria:")
+    lines.append("mixed equilibria:")
     if not report.mixed:
-        print("  none")
+        lines.append("  none")
     for prof, pay in report.mixed:
         p1 = ", ".join(_fmt(p, exact) for p in prof.p1)
         p2 = ", ".join(_fmt(p, exact) for p in prof.p2)
-        print(
+        lines.append(
             f"  p1=({p1})  p2=({p2})  "
             f"payoff ({_fmt(pay[0], exact)}, {_fmt(pay[1], exact)})"
         )
-    print(f"degenerate: {'yes' if report.degenerate else 'no'}")
+    lines.append(f"degenerate: {'yes' if report.degenerate else 'no'}")
+    return "\n".join(lines)
 
 
 def _class_line(params: UnitaryParams) -> str:
@@ -133,12 +169,13 @@ def cmd_extend(args) -> int:
         ext = build_extension(game, params)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_DOMAIN) from exc
-    _print_game_table(ext.game, ext.exact)
+    with _rendering():
+        table = _game_table(ext.game, ext.exact)
+        saved = _json_text(extended_to_json_dict(ext)) if args.out else ""
+    print(table)
     print(f"{_class_line(params)}  exact: {'true' if ext.exact else 'false'}")
     if args.out:
-        with _open_output(args.out) as handle:
-            json.dump(extended_to_json_dict(ext), handle, indent=2)
-            handle.write("\n")
+        _write_output(args.out, saved)
     return EXIT_OK
 
 
@@ -165,11 +202,12 @@ def cmd_solve(args) -> int:
             )
         game = snapped(game)
     report = support_enumeration(game)
-    _print_report(report, game, exact)
+    with _rendering():
+        text = _report_text(report, game, exact)
+        saved = _json_text(report_to_json_dict(report, game)) if args.out else ""
+    print(text)
     if args.out:
-        with _open_output(args.out) as handle:
-            json.dump(report_to_json_dict(report, game), handle, indent=2)
-            handle.write("\n")
+        _write_output(args.out, saved)
     return EXIT_OK
 
 
@@ -213,8 +251,7 @@ def cmd_sweep(args) -> int:
     game, _ = _load_game(args.game)
     if game.shape != (2, 2):
         raise CliError(f"sweep needs a 2x2 game, got {game.shape}", EXIT_DOMAIN)
-    # Every point is parsed and range-checked before the output is opened,
-    # so malformed input leaves no partial CSV behind.
+    # Every point is parsed and range-checked before any point is solved.
     thetas, alphas, betas = [_angle_list(raw) for raw in (args.thetas, args.alphas, args.betas)]
     points = []
     for t_tok, theta in thetas:
@@ -226,41 +263,40 @@ def cmd_sweep(args) -> int:
                     raise CliError(str(exc), EXIT_DOMAIN) from exc
                 points.append(((t_tok, a_tok, b_tok), params))
 
-    out = _open_output(args.out, newline="") if args.out else sys.stdout
-    try:
-        writer = csv.writer(out)
-        writer.writerow(
-            ["theta", "alpha", "beta", "class", "n_pure", "n_mixed", "payoff1", "payoff2"]
-        )
-        # Many points share a payoff grid, so each distinct grid is solved once.
-        # The memo belongs to this call, so it never outgrows one sweep.
-        reports: dict[tuple, EquilibriumReport] = {}
-        for tokens, params in points:
-            try:
-                ext = build_extension(game, params)
-            except ValueError as exc:
-                raise CliError(str(exc), EXIT_DOMAIN) from exc
-            cls = classify(params)
-            if ext.exact or args.allow_float_solve:
-                target = ext.game if ext.exact else snapped(ext.game)
-                report = reports.get(target.payoffs)
-                if report is None:
-                    report = reports[target.payoffs] = support_enumeration(target)
-                first = None
-                if report.pure:
-                    first = report.pure[0][2]
-                elif report.mixed:
-                    first = report.mixed[0][1]
-                pay1 = _fmt(first[0], ext.exact) if first else ""
-                pay2 = _fmt(first[1], ext.exact) if first else ""
-                counts = [str(len(report.pure)), str(len(report.mixed))]
-            else:
-                pay1 = pay2 = ""
-                counts = ["", ""]
-            writer.writerow([*tokens, cls.kind.value, *counts, pay1, pay2])
-    finally:
-        if args.out:
-            out.close()
+    # The whole CSV is built in memory, so a failure at any point leaves no
+    # partial output behind.
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(["theta", "alpha", "beta", "class", "n_pure", "n_mixed", "payoff1", "payoff2"])
+    # Many points share a payoff grid, so each distinct grid is solved once.
+    # The memo belongs to this call, so it never outgrows one sweep.
+    reports: dict[tuple, EquilibriumReport] = {}
+    for tokens, params in points:
+        try:
+            ext = build_extension(game, params)
+        except ValueError as exc:
+            raise CliError(str(exc), EXIT_DOMAIN) from exc
+        cls = classify(params)
+        if ext.exact or args.allow_float_solve:
+            target = ext.game if ext.exact else snapped(ext.game)
+            report = reports.get(target.payoffs)
+            if report is None:
+                report = reports[target.payoffs] = support_enumeration(target)
+            first = None
+            if report.pure:
+                first = report.pure[0][2]
+            elif report.mixed:
+                first = report.mixed[0][1]
+            with _rendering():
+                pays = [_fmt(v, ext.exact) for v in first] if first else ["", ""]
+            counts = [str(len(report.pure)), str(len(report.mixed))]
+        else:
+            pays = counts = ["", ""]
+        writer.writerow([*tokens, cls.kind.value, *counts, *pays])
+    if args.out:
+        _write_output(args.out, buffer.getvalue())
+    else:
+        sys.stdout.write(buffer.getvalue())
     return EXIT_OK
 
 

@@ -1,22 +1,25 @@
-"""Pure and mixed Nash equilibria of small bimatrix games.
+"""Pure and mixed Nash equilibria of bimatrix games.
 
-Mixed equilibria come from support enumeration: for every pair of nonempty
-supports the opponent-indifference conditions plus normalization form an
-exact linear system.  Every candidate that solves its system with
-nonnegative probabilities and survives the best-response check is an
-equilibrium.  On 2x2 and 3x3 games the enumeration is complete, so a report
-containing a single equilibrium is a uniqueness proof by exhaustion.
+Equilibria come from vertex enumeration of the two best-response polytopes
+(von Stengel, Handbook of Game Theory 3, 2002; Avis, Rosenberg, Savani and
+von Stengel, Economic Theory 42, 2010).  With payoffs shifted to be
+positive, player 1's polytope is {x >= 0 : B^T x <= 1} and player 2's is
+{y >= 0 : A y <= 1}.  A vertex pair whose labels cover every pure strategy
+(each strategy unplayed or a best response) is an extreme equilibrium, and
+its normalization is in the report.  Every vertex is enumerated, so the
+search is complete for every shape, degenerate games included, and a report
+with a single equilibrium is a uniqueness proof by exhaustion.
 
 The enumeration runs in integers.  Each player's payoffs are multiplied by
-the lcm of their denominators, which leaves every equilibrium unchanged.
-Every system is solved by fraction-free Gauss-Jordan elimination, which
-gives the solution as integer numerators over one positive denominator, and
-the feasibility and best-response checks compare integers.  `Fraction`
-probabilities are built only for the equilibria that go into the report.
+the lcm of their denominators and shifted, which leaves every equilibrium
+unchanged.  Every vertex is the solution of one square system, solved by
+fraction-free Gauss-Jordan elimination as integer numerators over one
+positive denominator, and the feasibility and label checks compare
+integers.  `Fraction` appears only in the report.
 
-Degenerate games (where some indifference system is underdetermined and a
-whole face of profiles is in equilibrium) cannot be listed finitely; the
-report then carries the vertex solutions and a ``degenerate`` flag.
+In a degenerate game two extreme equilibria share one player's mixture, so
+the segment between them is in equilibrium too; the report then lists the
+extreme equilibria and sets ``degenerate``.
 """
 
 from __future__ import annotations
@@ -63,9 +66,9 @@ class MixedProfile:
 class EquilibriumReport:
     """All equilibria found, split into pure positions and mixed profiles.
 
-    A pure equilibrium appears only in ``pure``; ``degenerate`` warns that
-    some support admitted a continuum of solutions, of which only vertices
-    are listed.
+    The lists hold every extreme equilibrium; a pure one appears only in
+    ``pure``.  ``degenerate`` means two listed equilibria share one player's
+    mixture, so the segment between them is in equilibrium too.
     """
 
     pure: tuple[tuple[int, int, Payoff], ...]
@@ -76,72 +79,43 @@ class EquilibriumReport:
         return len(self.pure) + len(self.mixed)
 
 
-def _eliminate(
-    rows: list[list[int]], n: int
-) -> tuple[list[int], int, list[list[int]]] | None:
-    """Fraction-free Gauss-Jordan elimination of an integer linear system.
+def _eliminate(rows: list[list[int]]) -> tuple[list[int], int] | None:
+    """Fraction-free Gauss-Jordan elimination of a square integer system.
 
-    ``rows`` are augmented rows ``[a_0, ..., a_{n-1}, b]`` of ``a . x = b``
-    over ``n`` unknowns; the caller's lists are not modified.  Each pivot row
-    is combined into every other row by cross-multiplication,
+    ``rows`` are the augmented rows ``[a_0, ..., a_{n-1}, b]`` of ``a . x = b``
+    over ``n = len(rows)`` unknowns; the caller's lists are not modified.
+    Each pivot row is combined into every other row by cross-multiplication,
     ``row * pivot - row[col] * pivot_row``, and the new row is divided by
     the gcd of its entries, so every entry stays an integer and every row
     stays primitive.  Bareiss (Math. Comp. 22 (1968) 565) divides by the
     previous pivot instead, to the same end.
 
-    Returns None if the system is inconsistent.  Otherwise returns
-    ``(numerators, denominator, nullspace)``: ``numerators / denominator``
-    is the solution with every free unknown set to zero, ``denominator`` is
-    positive, and each nullspace basis vector is integer numerators over the
-    same denominator.  An empty nullspace means the solution is unique; it
-    is then in lowest terms.
+    Returns None if the matrix is singular.  Otherwise returns
+    ``(numerators, denominator)``: the unique solution in lowest terms, over
+    a positive denominator.
     """
     rows = list(rows)
-    n_rows = len(rows)
-    pivot_cols: list[int] = []
-    rank = 0
+    n = len(rows)
     for col in range(n):
-        for r in range(rank, n_rows):
+        for r in range(col, n):
             if rows[r][col]:
                 break
         else:
-            continue
+            return None
         prow = rows[r]
-        rows[r] = rows[rank]
-        rows[rank] = prow
+        rows[r] = rows[col]
+        rows[col] = prow
         p = prow[col]
         for r, row in enumerate(rows):
             f = row[col]
-            if f and r != rank:
+            if f and r != col:
                 new = [v * p - f * w for v, w in zip(row, prow)]
                 g = gcd(*new)
                 rows[r] = [v // g for v in new] if g > 1 else new
-        pivot_cols.append(col)
-        rank += 1
-    for r in range(rank, n_rows):
-        if rows[r][n]:
-            return None
-
-    # Scale every pivot row so that all pivots equal one positive denominator.
-    pivots = [rows[r][col] for r, col in enumerate(pivot_cols)]
-    den = lcm(*pivots)
-    nums = [0] * n
-    scaled = []
-    for r, col in enumerate(pivot_cols):
-        scale = den // pivots[r]
-        nums[col] = rows[r][n] * scale
-        scaled.append((col, rows[r], scale))
-    if rank == n:
-        return (*_lowest_terms(nums, den), [])
-    nullspace = []
-    for free in range(n):
-        if free not in pivot_cols:
-            vec = [0] * n
-            vec[free] = den
-            for col, row, scale in scaled:
-                vec[col] = -row[free] * scale
-            nullspace.append(vec)
-    return nums, den, nullspace
+    # Row r now reads rows[r][r] * x_r = rows[r][n]; bring every pivot to one
+    # positive denominator.
+    den = lcm(*(row[r] for r, row in enumerate(rows)))
+    return _lowest_terms([row[n] * (den // row[r]) for r, row in enumerate(rows)], den)
 
 
 def _integer_matrix(values: list[list[Fraction]]) -> tuple[list[list[int]], int]:
@@ -210,74 +184,12 @@ def verify_equilibrium(game: BimatrixGame, profile: MixedProfile) -> bool:
     return True
 
 
-# A mixture in integer form: numerators over one positive denominator, in
-# lowest terms, so equal mixtures have equal keys.
-_Mixture = tuple[tuple[int, ...], int]
-
-
-def _indifference_candidates(
-    values: list[list[int]],
-    own_support: tuple[int, ...],
-    opp_support: tuple[int, ...],
-    size: int,
-) -> tuple[list[_Mixture], bool]:
-    """Solve for one player's mixture that equalizes the opponent on-support.
-
-    ``values[k][x]`` is the opponent's (integer-scaled) payoff for pure
-    strategy k when this player plays x.  Unknowns are the probabilities on
-    ``own_support``; equations make every opponent strategy in
-    ``opp_support`` worth the same, plus normalization.  Returns nonnegative
-    full-length candidate mixtures and whether the system was
-    underdetermined (a continuum of solutions).  For underdetermined
-    systems the candidates are the vertices of the feasible polytope: basic
-    solutions with respect to nonnegativity and the opponent's off-support
-    best-response constraints.
-    """
-    n_own = len(own_support)
-    base = values[opp_support[0]]
-    eq_rows = [
-        [base[x] - values[k][x] for x in own_support] + [0] for k in opp_support[1:]
-    ]
-    eq_rows.append([1] * (n_own + 1))
-
-    solved = _eliminate(eq_rows, n_own)
-    if solved is None:
-        return [], False
-    nums, den, nullspace = solved
-    if not nullspace:
-        if any(v < 0 for v in nums):
-            return [], False
-        return [_embed(nums, den, own_support, size)], False
-
-    # Underdetermined: enumerate vertices of the solution polytope, whose
-    # points are x = (nums + t . nullspace) / den.  Extra tight constraints
-    # come from nonnegativity and from the opponent's off-support strategies
-    # being weakly worse than on-support ones.  Constraint c . x >= 0 reads
-    # (c . nullspace) . t >= -(c . nums) in t, and is kept in that form as
-    # one augmented row; as den > 0 the sign is unchanged.
-    ineqs = [[int(pos == x) for x in range(n_own)] for pos in range(n_own)]
-    for k in range(len(values)):
-        if k not in opp_support:
-            ineqs.append([base[x] - values[k][x] for x in own_support])
-    t_rows = [[_dot(c, v) for v in nullspace] + [-_dot(c, nums)] for c in ineqs]
-
-    dim = len(nullspace)
-    vertices: dict[_Mixture, None] = {}
-    for tight in combinations(t_rows, dim):
-        solved = _eliminate(tight, dim)
-        if solved is None or solved[2]:
-            continue
-        t, t_den, _ = solved
-        # _dot stops at the shorter vector, so it skips each row's last entry.
-        if any(_dot(row, t) < row[dim] * t_den for row in t_rows):
-            continue
-        x = [t_den * v + _dot(t, col) for v, col in zip(nums, zip(*nullspace))]
-        vertices[_embed(*_lowest_terms(x, den * t_den), own_support, size)] = None
-    return list(vertices), True
+# A vertex in integer form: numerators over one positive denominator, in
+# lowest terms, so equal vertices have equal keys.
+_Vertex = tuple[tuple[int, ...], int]
 
 
 def _dot(a: list[int], b: list[int]) -> int:
-    """Dot product over the length of the shorter vector."""
     return sum(map(mul, a, b))
 
 
@@ -286,97 +198,100 @@ def _lowest_terms(nums: list[int], den: int) -> tuple[list[int], int]:
     return ([v // g for v in nums], den // g) if g > 1 else (nums, den)
 
 
-def _embed(nums: list[int], den: int, support: tuple[int, ...], size: int) -> _Mixture:
-    vec = [0] * size
-    for pos, idx in enumerate(support):
-        vec[idx] = nums[pos]
-    return tuple(vec), den
+def _mask(flags) -> int:
+    return sum(1 << k for k, flag in enumerate(flags) if flag)
 
 
-def _nonempty_supports(n: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-    for size in range(1, n + 1):
-        out.extend(combinations(range(n), size))
-    return out
+def _positive_matrix(values: list[list[Fraction]]) -> tuple[list[list[int]], int, int]:
+    """The matrix scaled to integers and shifted so that every entry is at least one.
 
-
-def _best_response_value(own: _Mixture, values: list[int]) -> int | None:
-    """The payoff of mixture ``own``, or None if it is not a best response.
-
-    ``values`` are the payoffs of its pure strategies, scaled by the
-    opponent's denominator; the result is scaled by both denominators.
+    Returns the matrix, the scale and the shift.
     """
-    nums, den = own
-    u = _dot(nums, values)
-    if any(den * v > u for v in values):
-        return None
-    return u
+    ints, scale = _integer_matrix(values)
+    shift = 1 - min(min(row) for row in ints)
+    return [[v + shift for v in row] for row in ints], scale, shift
+
+
+def _vertices(constraints: list[list[int]], size: int) -> dict[_Vertex, tuple[int, int]]:
+    """The nonzero vertices of ``{x >= 0 : c . x <= 1 for c in constraints}``, with labels.
+
+    ``constraints[k][i]`` is the opponent's positive payoff for its pure
+    strategy k when this player plays i.  Every vertex is the unique
+    solution of ``c . x = 1`` over some set K of constraints with x zero off
+    some support S of the same size, so every such pair (S, K) is tried.
+    The labels are read off the vertex itself, not off (S, K): the first
+    mask has bit i set where x_i = 0, the second bit k where constraint k is
+    tight, that is where strategy k is the opponent's best response.
+    """
+    vertices: dict[_Vertex, tuple[int, int]] = {}
+    for k in range(1, min(size, len(constraints)) + 1):
+        for support in combinations(range(size), k):
+            for tight in combinations(constraints, k):
+                solved = _eliminate([[c[i] for i in support] + [1] for c in tight])
+                if solved is None or min(solved[0]) < 0:
+                    continue
+                nums, den = solved
+                x = [0] * size
+                for i, v in zip(support, nums):
+                    x[i] = v
+                slack = [den - _dot(c, x) for c in constraints]
+                if min(slack) < 0:
+                    continue
+                vertices[tuple(x), den] = (_mask(v == 0 for v in x), _mask(s == 0 for s in slack))
+    return vertices
 
 
 def support_enumeration(game: BimatrixGame) -> EquilibriumReport:
-    """All Nash equilibria of the game by exhaustive support enumeration.
+    """All Nash equilibria of the game, as the extreme equilibria and a degeneracy flag.
 
-    Complete for games up to 3x3 (49 support pairs); larger games are
-    accepted but the combinatorics grow factorially.  Each player's payoffs
-    are scaled to integers and every system is solved by fraction-free
-    elimination; `Fraction` appears only in the report.
+    Enumerates the vertices of the two best-response polytopes and pairs
+    those whose labels cover every pure strategy (von Stengel, Handbook of
+    Game Theory 3, 2002).  Complete for every shape; the number of systems
+    grows with the number of support pairs, 19 per player on 3x3.  Each
+    player's payoffs are scaled to integers and every system is solved by
+    fraction-free elimination; `Fraction` appears only in the report.
     """
     n, m = game.shape
-    # A positive scaling of one player's payoffs leaves every best response,
-    # and so every equilibrium, unchanged.
-    a_by_row, scale1 = _integer_matrix(
+    # A positive scaling or a shift of one player's payoffs leaves every best
+    # response, and so every equilibrium, unchanged.
+    a_by_row, scale1, shift1 = _positive_matrix(
         [[game.payoff(i, j)[0] for j in range(m)] for i in range(n)]
     )
-    b_by_col, scale2 = _integer_matrix(
+    b_by_col, scale2, shift2 = _positive_matrix(
         [[game.payoff(i, j)[1] for i in range(n)] for j in range(m)]
     )
+    # Player 1's polytope is {x >= 0 : B^T x <= 1}, player 2's {y >= 0 : A y <= 1}.
+    xs = _vertices(b_by_col, n)
+    ys = _vertices(a_by_row, m)
 
-    # (p1, p2) -> (player 1's value, player 2's value), each times d1 * d2.
-    equilibria: dict[tuple[_Mixture, _Mixture], tuple[int, int]] = {}
-    degenerate = False
-    for s1 in _nonempty_supports(n):
-        for s2 in _nonempty_supports(m):
-            # p2 equalizes player 1 across s1; p1 equalizes player 2 across s2.
-            cands2, under2 = _indifference_candidates(a_by_row, s2, s1, m)
-            if not cands2:
-                continue
-            cands1, under1 = _indifference_candidates(b_by_col, s1, s2, n)
-            if not cands1:
-                continue
-            # Each pure strategy's payoff against each candidate, times the
-            # candidate's denominator.
-            row_values = [[_dot(row, p2[0]) for row in a_by_row] for p2 in cands2]
-            verified1: set[_Mixture] = set()
-            verified2: set[_Mixture] = set()
-            for p1 in cands1:
-                col_values = [_dot(col, p1[0]) for col in b_by_col]
-                for p2, rows in zip(cands2, row_values):
-                    u1 = _best_response_value(p1, rows)
-                    if u1 is None:
-                        continue
-                    u2 = _best_response_value(p2, col_values)
-                    if u2 is None:
-                        continue
-                    verified1.add(p1)
-                    verified2.add(p2)
-                    equilibria.setdefault((p1, p2), (u1, u2))
-            # A continuum needs an underdetermined side with at least two
-            # distinct equilibrium vertices.
-            if (under1 and len(verified1) > 1) or (under2 and len(verified2) > 1):
-                degenerate = True
+    # A vertex pair is an equilibrium when every pure strategy is unplayed or
+    # a best response to the other vertex.
+    all1, all2 = (1 << n) - 1, (1 << m) - 1
+    equilibria = [
+        (x, y)
+        for x, (unplayed1, best2) in xs.items()
+        for y, (unplayed2, best1) in ys.items()
+        if unplayed1 | best1 == all1 and unplayed2 | best2 == all2
+    ]
+    # Two extreme equilibria that share one player's mixture span a segment
+    # of equilibria.
+    count = len(equilibria)
+    degenerate = len({x for x, _ in equilibria}) < count or len({y for _, y in equilibria}) < count
 
     pure: list[tuple[int, int, Payoff]] = []
     mixed: list[tuple[MixedProfile, Payoff]] = []
-    for ((n1, d1), (n2, d2)), (u1, u2) in equilibria.items():
-        profile = MixedProfile(
-            tuple(Fraction(x, d1) for x in n1), tuple(Fraction(x, d2) for x in n2)
-        )
+    for (n1, d1), (n2, d2) in equilibria:
+        s1, s2 = sum(n1), sum(n2)
+        p1, p2 = tuple(Fraction(v, s1) for v in n1), tuple(Fraction(v, s2) for v in n2)
+        profile = MixedProfile(p1, p2)
         if profile.is_pure:
             i, j = profile.support1[0], profile.support2[0]
             pure.append((i, j, game.payoff(i, j)))
         else:
-            d = d1 * d2
-            mixed.append((profile, (Fraction(u1, d * scale1), Fraction(u2, d * scale2))))
+            # Every best response to y = n2 / d2 scores 1 in shifted units, so
+            # against the mixture n2 / s2 it scores d2 / s2; likewise for x.
+            u1 = Fraction(d2 - shift1 * s2, s2 * scale1)
+            mixed.append((profile, (u1, Fraction(d1 - shift2 * s1, s1 * scale2))))
     pure.sort(key=lambda e: (e[0], e[1]))
     mixed.sort(key=lambda e: (e[0].p1, e[0].p2))
     return EquilibriumReport(tuple(pure), tuple(mixed), degenerate)

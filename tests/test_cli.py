@@ -149,6 +149,54 @@ def test_payoff_beyond_float_range(write_json, capsys):
         assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
+def test_failed_float_sweep_leaves_no_partial_csv(write_json, tmp_path, capsys):
+    # The theta = 0 point solves; the float point after it cannot be built.
+    huge = dict(PD_JSON, payoffs=[[["1e400", "3"], ["0", "5"]], [["5", "0"], ["1", "1"]]])
+    game = write_json("huge.json", huge)
+    grid = ["--thetas", "0,0.8", "--alphas", "0", "--betas", "0"]
+    out_path = tmp_path / "part.csv"
+    code, _, err = run(capsys, "sweep", game, *grid, "-o", str(out_path))
+    assert code == 3 and err.startswith("error:")
+    assert not out_path.exists()
+    out_path.write_bytes(b"earlier,output\r\n")
+    code, _, _ = run(capsys, "sweep", game, *grid, "-o", str(out_path))
+    assert code == 3
+    assert out_path.read_bytes() == b"earlier,output\r\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.json", "part.csv"]
+
+
+# A payoff whose printed form has more digits than `str(int)` allows.
+BIG_PD_JSON = dict(PD_JSON, payoffs=[[["3", "3"], ["0", "5"]], [["5", "0"], ["1e5000", "1"]]])
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["extend", "{game}", "--theta", "0", "--alpha", "0", "--beta", "0"],
+        ["solve", "{game}"],
+        ["sweep", "{game}", "--thetas", "0", "--alphas", "0", "--betas", "0"],
+    ],
+    ids=["extend", "solve", "sweep"],
+)
+def test_value_too_long_to_print_is_input_error(write_json, tmp_path, capsys, command):
+    game = write_json("big.json", BIG_PD_JSON)
+    out_path = tmp_path / "out"
+    argv = [game if arg == "{game}" else arg for arg in command]
+    code, out, err = run(capsys, *argv, "-o", str(out_path))
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert out == ""
+    assert not out_path.exists()
+
+
+def test_integer_literal_too_long_to_read_is_input_error(tmp_path, capsys):
+    path = tmp_path / "long.json"
+    path.write_text('{"rows": ["A"], "cols": ["B"], "payoffs": [[[' + "7" * 5000 + ", 1]]]}")
+    code, _, err = run(capsys, "solve", str(path))
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
 def test_solve_dilemma(pd_file, capsys):
     code, out, _ = run(capsys, "solve", pd_file)
     assert code == 0
@@ -336,6 +384,18 @@ def test_unwritable_output_is_input_error(pd_file, tmp_path, capsys, command):
     assert not out_path.exists()
 
 
+def test_failed_replace_leaves_no_temporary_file(pd_file, tmp_path, capsys):
+    # The output path is a directory, so the finished temporary file cannot
+    # replace it.
+    target = tmp_path / "taken"
+    target.mkdir()
+    code, _, err = run(capsys, "solve", pd_file, "-o", str(target))
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pd.json", "taken"]
+    assert list(target.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -436,7 +496,7 @@ payoff_entries = (
     st.integers()
     | st.floats(allow_nan=False, allow_infinity=False)
     | st.fractions().map(str)
-    | st.sampled_from(["2.25", "1e400", "-1e-400"])
+    | st.sampled_from(["2.25", "1e400", "-1e-400", "1e5000", "1/" + "3" * 4400])
 )
 bad_cells = st.sampled_from([["1/0", "1"], ["Infinity", "0"], ["NaN", "0"], ["x", "1"], [1]])
 

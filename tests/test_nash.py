@@ -1,4 +1,4 @@
-"""Equilibrium solving: pure best responses and exact support enumeration."""
+"""Equilibrium solving: pure best responses and exact vertex enumeration."""
 
 import math
 import random
@@ -52,25 +52,27 @@ HALF_SUPPORT = profile((F(1, 2), 0, F(1, 2)), (F(1, 2), 0, F(1, 2)))
 
 
 def eliminate(rows, rhs):
-    """Solve a rational system with `nash._eliminate`, after scaling it to integers.
+    """Solve a square rational system with `nash._eliminate`, after scaling it to integers.
 
-    Asserts that the solution equals the `Fraction` oracle's and returns it
-    in the oracle's form, (particular, nullspace).
+    Asserts that `_eliminate` returns the `Fraction` oracle's solution when
+    that solution is unique, and None when the system is singular.  Returns
+    the oracle's answer, (particular, nullspace).
     """
     int_rows, _ = nash._integer_matrix([[*row, r] for row, r in zip(rows, rhs)])
-    solved = nash._eliminate(int_rows, len(rows[0]))
-    if solved is None:
-        got = None, []
+    solved = nash._eliminate(int_rows)
+    expected = nash_oracle.solve_rational_system(rows, rhs)
+    if expected[0] is None or expected[1]:
+        assert solved is None
     else:
-        nums, den, nullspace = solved
-        got = [F(v, den) for v in nums], [[F(v, den) for v in vec] for vec in nullspace]
-    assert got == nash_oracle.solve_rational_system(rows, rhs)
-    return got
+        nums, den = solved
+        assert den > 0 and [F(v, den) for v in nums] == expected[0]
+    return expected
 
 
 def test_solver_unique_solution():
     sol, null = eliminate([[F(2), F(1)], [F(1), F(-1)]], [F(4), F(-1)])
     assert sol == [F(1), F(2)] and null == []
+    assert nash._eliminate([[2, 1, 4], [1, -1, -1]]) == ([1, 2], 1)
 
 
 def test_solver_inconsistent():
@@ -79,45 +81,43 @@ def test_solver_inconsistent():
 
 
 def test_solver_underdetermined_nullspace():
-    sol, null = eliminate([[F(1), F(1), F(1)]], [F(1)])
-    assert sol is not None and len(null) == 2
-    for vec in null:
-        assert sum(vec) == 0
+    # Consistent but singular: a whole line of solutions, so no vertex.
+    sol, null = eliminate([[F(1), F(1)], [F(2), F(2)]], [F(1), F(2)])
+    assert sol is not None and len(null) == 1
+    assert nash._eliminate([[1, 1, 1], [2, 2, 2]]) is None
 
 
 @pytest.mark.parametrize(
-    "rows, rhs, expected",
+    "rows, rhs, unique",
     [
-        # Overdetermined but consistent: three equations, two unknowns.
+        # A redundant but consistent equation: the third row is the sum of
+        # the first two, so the square system is singular.
         (
-            [[F(1), F(1)], [F(1), F(-1)], [F(2), F(3)]],
-            [F(3), F(1), F(7)],
-            ([F(2), F(1)], []),
+            [[F(1), F(1), F(0)], [F(1), F(-1), F(1)], [F(2), F(0), F(1)]],
+            [F(3), F(1), F(4)],
+            False,
         ),
-        # A zero leading column: x0 is free, and the pivot search skips it.
+        # A zero leading column: x0 is free, and the pivot search finds no pivot.
         (
-            [[F(0), F(2), F(1)], [F(0), F(1), F(-1)]],
-            [F(1), F(2)],
-            ([F(0), F(1), F(-1)], [[F(1), F(0), F(0)]]),
+            [[F(0), F(2), F(1)], [F(0), F(1), F(-1)], [F(0), F(0), F(1)]],
+            [F(1), F(2), F(0)],
+            False,
         ),
         # Denominators of about 1e9, as on snapped float-built games.
         (
             [[F(1, 999999937), F(2, 999999929)], [F(3, 10**9 + 7), F(-1, 10**9 + 9)]],
             [F(1), F(5, 999999893)],
-            None,
+            True,
         ),
     ],
     ids=["overdetermined-consistent", "zero-leading-column", "denominators-1e9"],
 )
-def test_solver_matches_fraction_oracle(rows, rhs, expected):
-    got = eliminate(rows, rhs)
-    if expected is not None:
-        assert got == expected
-    sol, null = got
-    for row, r in zip(rows, rhs):
-        assert sum(a * x for a, x in zip(row, sol)) == r
-        for vec in null:
-            assert sum(a * x for a, x in zip(row, vec)) == 0
+def test_solver_matches_fraction_oracle(rows, rhs, unique):
+    sol, null = eliminate(rows, rhs)
+    assert (sol is not None and not null) == unique
+    if unique:
+        for row, r in zip(rows, rhs):
+            assert sum(a * x for a, x in zip(row, sol)) == r
 
 
 # --- pure equilibria -------------------------------------------------------
@@ -402,7 +402,7 @@ def test_matches_oracle_on_extensions(snap):
         assert_matches_oracle(snapped(ext.game) if snap else ext.game)
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (2, 3), (3, 2), (1, 3)])
+@pytest.mark.parametrize("shape", [(1, 1), (2, 3), (3, 2), (1, 3), (4, 4), (2, 4)])
 def test_matches_oracle_on_other_shapes(shape):
     rng = random.Random(61)
     for _ in range(15):
