@@ -50,8 +50,8 @@ def _load_json(path: str) -> dict:
 def _rendering():
     """Make a value with too many digits to print, inside the block, an input error.
 
-    Commands render all their output before writing any of it, so such a
-    value leaves no partial output behind.
+    Commands return their output as text and only `main` writes it, so such
+    a value leaves no partial output behind.
     """
     try:
         yield
@@ -162,7 +162,7 @@ def _class_line(params: UnitaryParams) -> str:
     return f"class: {cls.kind.value} (k={k}, l={l})"
 
 
-def cmd_extend(args) -> int:
+def cmd_extend(args) -> tuple[int, str, str | None]:
     game, _ = _load_game(args.game)
     params = _params_from_args(args)
     try:
@@ -170,22 +170,17 @@ def cmd_extend(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc), EXIT_DOMAIN) from exc
     with _rendering():
-        table = _game_table(ext.game, ext.exact)
-        saved = _json_text(extended_to_json_dict(ext)) if args.out else ""
-    print(table)
-    print(f"{_class_line(params)}  exact: {'true' if ext.exact else 'false'}")
-    if args.out:
-        _write_output(args.out, saved)
-    return EXIT_OK
+        text = (f"{_game_table(ext.game, ext.exact)}\n"
+                f"{_class_line(params)}  exact: {'true' if ext.exact else 'false'}\n")
+        saved = _json_text(extended_to_json_dict(ext)) if args.out else None
+    return EXIT_OK, text, saved
 
 
-def cmd_classify(args) -> int:
-    params = _params_from_args(args)
-    print(_class_line(params))
-    return EXIT_OK
+def cmd_classify(args) -> tuple[int, str, str | None]:
+    return EXIT_OK, _class_line(_params_from_args(args)) + "\n", None
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> tuple[int, str, str | None]:
     game, data = _load_game(args.game)
     exact = bool(data.get("exact", True))
     if not exact and not args.allow_float_solve:
@@ -203,38 +198,40 @@ def cmd_solve(args) -> int:
         game = snapped(game)
     report = support_enumeration(game)
     with _rendering():
-        text = _report_text(report, game, exact)
-        saved = _json_text(report_to_json_dict(report, game)) if args.out else ""
-    print(text)
-    if args.out:
-        _write_output(args.out, saved)
-    return EXIT_OK
+        text = _report_text(report, game, exact) + "\n"
+        saved = _json_text(report_to_json_dict(report, game)) if args.out else None
+    return EXIT_OK, text, saved
 
 
-def cmd_isocheck(args) -> int:
+def cmd_isocheck(args) -> tuple[int, str, str | None]:
     _check_tol(args.tol)
+    angles = (args.theta, args.alpha, args.beta)
+    if angles.count(None) not in (0, 3):
+        raise CliError("give all of --theta, --alpha and --beta, or none of them", EXIT_BAD_INPUT)
     game_a, _ = _load_game(args.game_a)
     game_b, _ = _load_game(args.game_b)
+    params = None if args.theta is None else _params_from_args(args)
     bijection = find_isomorphism(game_a, game_b, tol=args.tol)
     if bijection is None:
         searched = math.factorial(game_a.n_rows) * math.factorial(game_a.n_cols)
         if game_a.shape != game_b.shape:
-            print("isomorphic: no (shapes differ)")
+            lines = ["isomorphic: no (shapes differ)"]
         else:
-            print(f"isomorphic: no (searched {searched} bijection pairs)")
+            lines = [f"isomorphic: no (searched {searched} bijection pairs)"]
     else:
-        print("isomorphic: yes")
-        print("  rows: " + ", ".join(f"{x} -> {y}" for x, y in bijection.row_map))
-        print("  cols: " + ", ".join(f"{x} -> {y}" for x, y in bijection.col_map))
-    if all(tok is not None for tok in (args.theta, args.alpha, args.beta)):
-        params = _params_from_args(args)
+        lines = [
+            "isomorphic: yes",
+            "  rows: " + ", ".join(f"{x} -> {y}" for x, y in bijection.row_map),
+            "  cols: " + ", ".join(f"{x} -> {y}" for x, y in bijection.col_map),
+        ]
+    if params is not None:
         try:
             invariant = empirical_invariance(game_a, params)
         except ValueError as exc:
             raise CliError(str(exc), EXIT_DOMAIN) from exc
-        print(f"extension of {args.game_a} invariant under relabelings: "
-              f"{'yes' if invariant else 'no'}")
-    return EXIT_OK
+        lines.append(f"extension of {args.game_a} invariant under relabelings: "
+                     f"{'yes' if invariant else 'no'}")
+    return EXIT_OK, "\n".join(lines) + "\n", None
 
 
 def _angle_list(raw: str) -> list[tuple[str, Fraction | float]]:
@@ -247,7 +244,7 @@ def _angle_list(raw: str) -> list[tuple[str, Fraction | float]]:
         raise CliError(str(exc), EXIT_BAD_INPUT) from exc
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> tuple[int, str, str | None]:
     game, _ = _load_game(args.game)
     if game.shape != (2, 2):
         raise CliError(f"sweep needs a 2x2 game, got {game.shape}", EXIT_DOMAIN)
@@ -294,63 +291,45 @@ def cmd_sweep(args) -> int:
             pays = counts = ["", ""]
         writer.writerow([*tokens, cls.kind.value, *counts, *pays])
     if args.out:
-        _write_output(args.out, buffer.getvalue())
-    else:
-        sys.stdout.write(buffer.getvalue())
-    return EXIT_OK
+        return EXIT_OK, "", buffer.getvalue()
+    return EXIT_OK, buffer.getvalue(), None
 
 
-def cmd_verify_oracle(args) -> int:
+def cmd_verify_oracle(args) -> tuple[int, str, str | None]:
     _check_count("--samples", args.samples)
     _check_count("--games", args.games)
     _check_tol(args.tol)
     worst = max_oracle_deviation(samples=args.samples, seed=args.seed, n_games=args.games)
-    print(
-        f"max |closed-form - statevector| over {args.games} games x "
-        f"{args.samples} samples (seed {args.seed}): {worst:.3e}"
-    )
+    text = (f"max |closed-form - statevector| over {args.games} games x "
+            f"{args.samples} samples (seed {args.seed}): {worst:.3e}\n")
     if worst > args.tol:
-        print(f"FAIL: deviation exceeds {args.tol:g}")
-        return EXIT_SUITE_FAILED
-    print(f"OK: within {args.tol:g}")
-    return EXIT_OK
+        return EXIT_SUITE_FAILED, text + f"FAIL: deviation exceeds {args.tol:g}\n", None
+    return EXIT_OK, text + f"OK: within {args.tol:g}\n", None
 
 
-def cmd_reproduce(args) -> int:
+def cmd_reproduce(args) -> tuple[int, str, str | None]:
     pd = None
     if args.pd_file:
         pd, _ = _load_game(args.pd_file)
         if pd.shape != (2, 2):
             raise CliError("--pd-file must hold a 2x2 game", EXIT_DOMAIN)
-    claims = run_reference_suite(pd)
+    with _rendering():
+        claims = run_reference_suite(pd)
     all_ok = all(c.ok for c in claims)
+    code = EXIT_OK if all_ok else EXIT_SUITE_FAILED
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "claims": [
-                        {
-                            "name": c.name,
-                            "pass": c.ok,
-                            "expected": c.expected,
-                            "actual": c.actual,
-                        }
-                        for c in claims
-                    ],
-                    "all_pass": all_ok,
-                },
-                indent=2,
-            )
-        )
-    else:
-        for c in claims:
-            print(f"{'PASS' if c.ok else 'FAIL'}  {c.name}")
-            if not c.ok:
-                print(f"      expected: {c.expected}")
-                print(f"      actual:   {c.actual}")
-        n_ok = sum(1 for c in claims if c.ok)
-        print(f"{n_ok}/{len(claims)} claims pass")
-    return EXIT_OK if all_ok else EXIT_SUITE_FAILED
+        rows = [
+            {"name": c.name, "pass": c.ok, "expected": c.expected, "actual": c.actual}
+            for c in claims
+        ]
+        return code, _json_text({"claims": rows, "all_pass": all_ok}), None
+    lines = []
+    for c in claims:
+        lines.append(f"{'PASS' if c.ok else 'FAIL'}  {c.name}")
+        if not c.ok:
+            lines += [f"      expected: {c.expected}", f"      actual:   {c.actual}"]
+    lines.append(f"{sum(c.ok for c in claims)}/{len(claims)} claims pass")
+    return code, "\n".join(lines) + "\n", None
 
 
 def _add_angle_options(parser, required=True) -> None:
@@ -417,12 +396,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command: write its ``-o`` file, then its standard output.
+
+    Commands return ``(exit code, stdout text, -o text or None)`` and write
+    nothing themselves.  A `CliError` from the command or from the ``-o``
+    write leaves standard output empty and any ``-o`` target as it was.
+    """
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, text, saved = args.func(args)
+        if saved is not None:
+            _write_output(args.out, saved)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone (`| head -1`).  Standard output now goes to
+        # devnull, so the flush at interpreter exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
 
 
 if __name__ == "__main__":

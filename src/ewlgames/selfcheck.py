@@ -36,6 +36,8 @@ from .nash import EquilibriumReport, MixedProfile, support_enumeration
 
 F = Fraction
 
+SEED = 20240901  # of the suite's random dilemmas and oracle samples
+
 CANONICAL_PD = make_game(("C", "D"), ("C", "D"), [[(3, 3), (0, 5)], [(5, 0), (1, 1)]])
 
 
@@ -142,7 +144,7 @@ def _grid_census() -> dict[InvarianceKind, int]:
     return counts
 
 
-def run_reference_suite(pd: BimatrixGame | None = None, seed: int = 20240901) -> list[Claim]:
+def run_reference_suite(pd: BimatrixGame | None = None) -> list[Claim]:
     """All reference claims, computed against ``pd`` (canonical by default)."""
     game = CANONICAL_PD if pd is None else pd
     claims: list[Claim] = []
@@ -150,14 +152,13 @@ def run_reference_suite(pd: BimatrixGame | None = None, seed: int = 20240901) ->
     def add(name: str, ok: bool, expected: str, actual: str) -> None:
         claims.append(Claim(name, ok, expected, actual))
 
+    def equilibria(name: str, g: BimatrixGame, expected: EquilibriumReport, ok=True) -> None:
+        report = support_enumeration(g)
+        add(name, ok and report == expected, _fmt_report(expected), _fmt_report(report))
+
     # Classical game: defection dominates, equilibrium payoff (1, 1).
-    report = support_enumeration(game)
-    add(
-        "classical game: unique equilibrium (D, D) with payoff (1, 1)",
-        report.pure == ((1, 1, (F(1), F(1))),) and not report.mixed,
-        "pure: (1,1)->(1,1); mixed: none",
-        _fmt_report(report),
-    )
+    equilibria("classical game: unique equilibrium (D, D) with payoff (1, 1)",
+               game, EquilibriumReport(((1, 1, (F(1), F(1))),), (), False))
 
     # The Q-extension reproduces the tabulated 3x3 matrix.
     ext = build_extension(game, Q_OP)
@@ -167,64 +168,27 @@ def run_reference_suite(pd: BimatrixGame | None = None, seed: int = 20240901) ->
         str(_q_pattern(game)),
         str(ext.game.payoffs),
     )
+    equilibria("Q-extension: unique equilibrium (Q, Q) with payoff (3, 3)",
+               ext.game, EquilibriumReport(((2, 2, (F(3), F(3))),), (), False))
 
-    report = support_enumeration(ext.game)
-    add(
-        "Q-extension: unique equilibrium (Q, Q) with payoff (3, 3)",
-        report.pure == ((2, 2, (F(3), F(3))),) and not report.mixed,
-        "pure: (2,2)->(3,3); mixed: none",
-        _fmt_report(report),
-    )
-
-    # Swapping rows first changes the Q-extension's equilibrium entirely.
-    rows_swapped = variant(game, VariantKind.ROW_SWAP)
-    ext_rows = build_extension(rows_swapped, Q_OP)
-    report = support_enumeration(ext_rows.game)
-    expected_mixed = (
-        (_profile((F(1, 2), 0, F(1, 2)), (F(1, 2), 0, F(1, 2))), (F(5, 2), F(5, 2))),
-    )
-    add(
-        "rows swapped first: no pure equilibrium, unique mixed "
-        "((1/2,0,1/2),(1/2,0,1/2)) with payoff (5/2, 5/2)",
-        ext_rows.game.payoffs == _q_pattern(rows_swapped)
-        and not report.pure
-        and report.mixed == expected_mixed,
-        "pure: none; mixed: p1=(1/2,0,1/2) p2=(1/2,0,1/2)->(5/2,5/2)",
-        _fmt_report(report),
-    )
-
-    # Swapping columns first gives the same mixed equilibrium.
-    cols_swapped = variant(game, VariantKind.COL_SWAP)
-    ext_cols = build_extension(cols_swapped, Q_OP)
-    report = support_enumeration(ext_cols.game)
-    add(
-        "columns swapped first: unique mixed ((1/2,0,1/2),(1/2,0,1/2)) "
-        "with payoff (5/2, 5/2)",
-        ext_cols.game.payoffs == _q_pattern(cols_swapped)
-        and not report.pure
-        and report.mixed == expected_mixed,
-        "pure: none; mixed: p1=(1/2,0,1/2) p2=(1/2,0,1/2)->(5/2,5/2)",
-        _fmt_report(report),
-    )
-
-    # Swapping both gives yet another game with a full-support equilibrium.
-    both_swapped = variant(game, VariantKind.ROW_COL_SWAP)
-    ext_both = build_extension(both_swapped, Q_OP)
-    report = support_enumeration(ext_both.game)
-    full = (F(14, 25), F(2, 25), F(9, 25))
-    expected_mixed = ((_profile(full, full), (F(51, 25), F(51, 25))),)
-    add(
-        "rows and columns swapped first: unique equilibrium "
-        "((14/25,2/25,9/25),(14/25,2/25,9/25)) with payoff 51/25 each",
-        ext_both.game.payoffs == _q_pattern(both_swapped)
-        and not report.pure
-        and report.mixed == expected_mixed,
-        "pure: none; mixed: p1=(14/25,2/25,9/25) p2=(14/25,2/25,9/25)->(51/25,51/25)",
-        _fmt_report(report),
-    )
+    # Relabeling the game first changes the Q-extension's equilibrium entirely.
+    half, full = (F(1, 2), F(0), F(1, 2)), (F(14, 25), F(2, 25), F(9, 25))
+    relabeled = {}
+    for kind, name, mixture, value in (
+        (VariantKind.ROW_SWAP, "rows swapped first: no pure equilibrium, unique mixed "
+         "((1/2,0,1/2),(1/2,0,1/2)) with payoff (5/2, 5/2)", half, F(5, 2)),
+        (VariantKind.COL_SWAP, "columns swapped first: unique mixed ((1/2,0,1/2),(1/2,0,1/2)) "
+         "with payoff (5/2, 5/2)", half, F(5, 2)),
+        (VariantKind.ROW_COL_SWAP, "rows and columns swapped first: unique equilibrium "
+         "((14/25,2/25,9/25),(14/25,2/25,9/25)) with payoff 51/25 each", full, F(51, 25)),
+    ):
+        swapped = variant(game, kind)
+        relabeled[kind] = ext_v = build_extension(swapped, Q_OP)
+        expected = EquilibriumReport((), ((_profile(mixture, mixture), (value, value)),), False)
+        equilibria(name, ext_v.game, expected, ext_v.game.payoffs == _q_pattern(swapped))
 
     # The two row orderings produce genuinely non-isomorphic extensions.
-    bijection = find_isomorphism(ext.game, ext_rows.game)
+    bijection = find_isomorphism(ext.game, relabeled[VariantKind.ROW_SWAP].game)
     add(
         "Q-extensions of the two row orderings are not isomorphic "
         "(all 36 bijection pairs fail)",
@@ -269,7 +233,7 @@ def run_reference_suite(pd: BimatrixGame | None = None, seed: int = 20240901) ->
     type_ii = UnitaryParams.exact_pi(F(1, 2), F(1, 2), F(1, 2))
     report = support_enumeration(build_extension(game, type_ii).game)
     ok = not report.pure and report.mixed == ((quarter_profile, avg4),)
-    rng = random.Random(seed)
+    rng = random.Random(SEED)
     for _ in range(3):
         r, s, t, p = random_dilemma_values(rng)
         rep = support_enumeration(build_extension(dilemma_game(r, s, t, p), type_ii).game)
@@ -284,7 +248,7 @@ def run_reference_suite(pd: BimatrixGame | None = None, seed: int = 20240901) ->
     )
 
     # The two payoff routes agree to double precision.
-    worst = max_oracle_deviation(samples=200, seed=seed, n_games=3)
+    worst = max_oracle_deviation(samples=200, seed=SEED, n_games=3)
     add(
         "closed-form and statevector payoffs agree within 1e-12",
         worst <= 1e-12,

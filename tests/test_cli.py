@@ -172,17 +172,18 @@ BIG_PD_JSON = dict(PD_JSON, payoffs=[[["3", "3"], ["0", "5"]], [["5", "0"], ["1e
 @pytest.mark.parametrize(
     "command",
     [
-        ["extend", "{game}", "--theta", "0", "--alpha", "0", "--beta", "0"],
-        ["solve", "{game}"],
-        ["sweep", "{game}", "--thetas", "0", "--alphas", "0", "--betas", "0"],
+        ["extend", "{game}", "--theta", "0", "--alpha", "0", "--beta", "0", "-o", "{out}"],
+        ["solve", "{game}", "-o", "{out}"],
+        ["sweep", "{game}", "--thetas", "0", "--alphas", "0", "--betas", "0", "-o", "{out}"],
+        ["reproduce", "--pd-file", "{game}"],
     ],
-    ids=["extend", "solve", "sweep"],
+    ids=["extend", "solve", "sweep", "reproduce"],
 )
 def test_value_too_long_to_print_is_input_error(write_json, tmp_path, capsys, command):
     game = write_json("big.json", BIG_PD_JSON)
     out_path = tmp_path / "out"
-    argv = [game if arg == "{game}" else arg for arg in command]
-    code, out, err = run(capsys, *argv, "-o", str(out_path))
+    argv = [{"{game}": game, "{out}": str(out_path)}.get(arg, arg) for arg in command]
+    code, out, err = run(capsys, *argv)
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("error:")
     assert out == ""
@@ -313,6 +314,12 @@ def test_full_grid_sweep_csv_is_unchanged(pd_file, capsys):
     assert hashlib.md5(out.encode()).hexdigest() == "4f82532571968410f9fefbb42c4a4f9c"
 
 
+def test_reproduce_json_is_unchanged(capsys):
+    code, out, _ = run(capsys, "reproduce", "--json")
+    assert code == 0
+    assert hashlib.md5(out.encode()).hexdigest() == "029eb049729a23ddd18c60e2ccf5c3ce"
+
+
 def counting_solver(monkeypatch):
     calls = []
 
@@ -377,10 +384,11 @@ def test_failed_sweep_leaves_no_output(pd_file, tmp_path, capsys, thetas, code):
 def test_unwritable_output_is_input_error(pd_file, tmp_path, capsys, command):
     out_path = tmp_path / "missing-dir" / "out"
     argv = [pd_file if arg == "{game}" else arg for arg in command]
-    code, _, err = run(capsys, *argv, "-o", str(out_path))
+    code, out, err = run(capsys, *argv, "-o", str(out_path))
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("error:")
     assert "Traceback" not in err
+    assert out == ""
     assert not out_path.exists()
 
 
@@ -415,6 +423,23 @@ def test_invalid_tolerance_or_count_is_input_error(pd_file, capsys, argv):
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("error:")
     assert "OK" not in out and "isomorphic" not in out
+
+
+@pytest.mark.parametrize(
+    "angles, code",
+    [
+        (["--theta", "2pi", "--alpha", "0", "--beta", "0"], 3),
+        (["--theta", "2pi", "--alpha", "bogus", "--beta", "0"], 2),
+        (["--theta", "1/2pi"], 2),
+        (["--alpha", "0", "--beta", "0"], 2),
+    ],
+    ids=["theta-out-of-range", "alpha-unparseable", "theta-only", "theta-missing"],
+)
+def test_failed_isocheck_writes_nothing(pd_file, capsys, angles, code):
+    got, out, err = run(capsys, "isocheck", pd_file, pd_file, *angles)
+    assert got == code
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert out == ""
 
 
 def test_isocheck_with_tolerance_finds_identity(pd_file, capsys):
@@ -472,6 +497,29 @@ def test_identical_invocations_are_byte_identical(pd_file, capsys):
     results = [run(capsys, "solve", pd_file) for _ in range(2)]
     assert results[0] == results[1]
 
+
+
+@pytest.mark.parametrize("payoff, code", [("3", 0), ("4", 1)], ids=["passing", "failing"])
+def test_closed_stdout_pipe_ends_quietly(write_json, payoff, code):
+    # A (C, C) payoff of 4 fails the Q claim.  The read end of the pipe is
+    # closed before the child starts, so the child's write always fails.
+    pd = dict(PD_JSON, payoffs=[[[payoff, "3"], ["0", "5"]], [["5", "0"], ["1", "1"]]])
+    argv = ["reproduce", "--json", "--pd-file", write_json("pd.json", pd)]
+    env = dict(os.environ, PYTHONPATH=str(Path(ewlgames.__file__).parents[1]))
+    # Block-buffered, as by default: bytes left in the buffer would fail again
+    # at interpreter exit.
+    env.pop("PYTHONUNBUFFERED", None)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "ewlgames.cli", *argv],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == code
+    assert result.stderr == b""
 
 
 def test_cli_import_loads_no_numpy():
