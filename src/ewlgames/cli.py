@@ -22,7 +22,6 @@ from .ewl import UnitaryParams, parse_angle, params_from_angles
 from .extension import build_extension, classify, empirical_invariance, extended_to_json_dict
 from .games import BimatrixGame, find_isomorphism, game_from_json_dict, snapped
 from .nash import EquilibriumReport, report_to_json_dict, support_enumeration
-from .selfcheck import max_oracle_deviation, run_reference_suite
 
 EXIT_OK = 0
 EXIT_SUITE_FAILED = 1
@@ -299,6 +298,9 @@ def cmd_verify_oracle(args) -> tuple[int, str, str | None]:
     _check_count("--samples", args.samples)
     _check_count("--games", args.games)
     _check_tol(args.tol)
+    # selfcheck is imported by verify-oracle and reproduce only.
+    from .selfcheck import max_oracle_deviation
+
     worst = max_oracle_deviation(samples=args.samples, seed=args.seed, n_games=args.games)
     text = (f"max |closed-form - statevector| over {args.games} games x "
             f"{args.samples} samples (seed {args.seed}): {worst:.3e}\n")
@@ -313,6 +315,8 @@ def cmd_reproduce(args) -> tuple[int, str, str | None]:
         pd, _ = _load_game(args.pd_file)
         if pd.shape != (2, 2):
             raise CliError("--pd-file must hold a 2x2 game", EXIT_DOMAIN)
+    from .selfcheck import run_reference_suite
+
     with _rendering():
         claims = run_reference_suite(pd)
     all_ok = all(c.ok for c in claims)

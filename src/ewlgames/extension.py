@@ -32,12 +32,12 @@ from .games import (
     FLOAT_TOL,
     BimatrixGame,
     VariantKind,
+    _integer_matrix,
     find_isomorphism,
     game_to_json_dict,
     is_generic,
     variant,
 )
-from .nash import _integer_matrix
 
 EXT_LABELS = ("I", "iX", "U")
 

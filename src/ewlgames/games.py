@@ -1,9 +1,9 @@
 """Exact-rational bimatrix games: construction, relabeling variants, and
 strong-isomorphism search.
 
-Payoffs are `fractions.Fraction` end to end.  Nothing here touches floats
-unless an isomorphism search is explicitly given a tolerance, so all game
-comparisons are exact by default.
+Payoffs are `fractions.Fraction` end to end, and nothing here computes in
+floats: an isomorphism search reads a float tolerance as its exact binary
+value and compares integers.
 """
 
 from __future__ import annotations
@@ -150,8 +150,10 @@ class StrategyBijection:
         )
 
 
-def _pairs_close(x: Payoff, y: Payoff, tol: float) -> bool:
-    return abs(x[0] - y[0]) <= tol and abs(x[1] - y[1]) <= tol
+def _integer_matrix(values: list[list[Fraction]]) -> tuple[list[list[int]], int]:
+    """The matrix times the lcm of its denominators, and that lcm."""
+    scale = math.lcm(*(v.denominator for row in values for v in row))
+    return [[v.numerator * (scale // v.denominator) for v in row] for row in values], scale
 
 
 def find_isomorphism(
@@ -159,31 +161,45 @@ def find_isomorphism(
 ) -> Optional[StrategyBijection]:
     """Search for a strong isomorphism from ``a`` to ``b``.
 
-    Tries all n!*m! bijection pairs in lexicographic order and returns the
-    first pair under which every cell of ``a`` carries the same payoffs as
-    its image in ``b`` (for both players), or None if no pair works.  With
-    ``tol`` > 0 payoffs are compared within that absolute tolerance, which
-    is what float-built games need.
+    Returns the first of the n!*m! bijection pairs, in lexicographic order,
+    under which every cell of ``a`` carries the same payoffs as its image in
+    ``b`` (for both players), or None if no pair works.  Payoffs match when
+    ``|x - y| <= tol``, with ``tol`` read as its exact binary value, which is
+    what float-built games need; the default 0 asks for equality.  A ``tol``
+    that is negative or not finite raises ValueError.
+
+    The search compares integers.  Each player's payoffs in both games are
+    scaled by the lcm of their denominators, so ``tol`` becomes the integer
+    bound ``floor(tol * scale)`` on the difference of two images.  Before the
+    loop, the search gives up if some player's sorted images differ by more
+    than the bound at some rank: a bijection that keeps every pair within
+    the bound keeps the sorted pairing within it too.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be a finite number >= 0, got {tol}")
     if a.shape != b.shape:
         return None
     n, m = a.shape
-    pa, pb = a.payoffs, b.payoffs
+    tol_num, tol_den = tol.as_integer_ratio()
+    players = []  # (a's images, b's images, bound) for each player
+    for p in (0, 1):
+        ints, scale = _integer_matrix([[c[p] for c in row] for row in a.payoffs + b.payoffs])
+        bound = tol_num * scale // tol_den
+        xs, ys = ints[:n], ints[n:]
+        ranked = zip(sorted(v for row in xs for v in row), sorted(v for row in ys for v in row))
+        if any(abs(x - y) > bound for x, y in ranked):
+            return None
+        players.append((xs, ys, bound))
+    (xs1, ys1, d1), (xs2, ys2, d2) = players
     for row_perm in permutations(range(n)):
-        # Precompute b's rows in source order for this row bijection.
-        rows_b = tuple(pb[row_perm[i]] for i in range(n))
+        # Each row of a beside the row of b it maps to, for both players.
+        rows = [(xs1[i], ys1[r], xs2[i], ys2[r]) for i, r in enumerate(row_perm)]
         for col_perm in permutations(range(m)):
-            if tol == 0.0:
-                ok = all(
-                    pa[i][j] == rows_b[i][col_perm[j]] for i in range(n) for j in range(m)
-                )
-            else:
-                ok = all(
-                    _pairs_close(pa[i][j], rows_b[i][col_perm[j]], tol)
-                    for i in range(n)
-                    for j in range(m)
-                )
-            if ok:
+            if all(
+                abs(x1[j] - y1[c]) <= d1 and abs(x2[j] - y2[c]) <= d2
+                for x1, y1, x2, y2 in rows
+                for j, c in enumerate(col_perm)
+            ):
                 return StrategyBijection(
                     row_perm=row_perm,
                     col_perm=col_perm,

@@ -30,7 +30,7 @@ from itertools import combinations
 from math import gcd, lcm
 from operator import mul
 
-from .games import BimatrixGame, Payoff
+from .games import BimatrixGame, Payoff, _integer_matrix
 
 _ZERO = Fraction(0)
 
@@ -116,12 +116,6 @@ def _eliminate(rows: list[list[int]]) -> tuple[list[int], int] | None:
     # positive denominator.
     den = lcm(*(row[r] for r, row in enumerate(rows)))
     return _lowest_terms([row[n] * (den // row[r]) for r, row in enumerate(rows)], den)
-
-
-def _integer_matrix(values: list[list[Fraction]]) -> tuple[list[list[int]], int]:
-    """The matrix times the lcm of its denominators, and that lcm."""
-    scale = lcm(*(v.denominator for row in values for v in row))
-    return [[v.numerator * (scale // v.denominator) for v in row] for row in values], scale
 
 
 def pure_equilibria(game: BimatrixGame) -> list[tuple[int, int, Payoff]]:

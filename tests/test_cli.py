@@ -448,6 +448,20 @@ def test_isocheck_with_tolerance_finds_identity(pd_file, capsys):
     assert "isomorphic: yes" in out
 
 
+def test_isocheck_with_tolerance_beyond_float_range(write_json, capsys):
+    big = write_json(
+        "big.json",
+        {
+            "rows": ["C", "D"],
+            "cols": ["C", "D"],
+            "payoffs": [[["1e400", "3"], ["0", "5"]], [["5", "0"], ["1", "1"]]],
+        },
+    )
+    code, out, err = run(capsys, "isocheck", big, big, "--tol", "1e-9")
+    assert (code, err) == (0, "")
+    assert out.startswith("isomorphic: yes\n")
+
+
 def test_sweep_skips_float_solving_without_opt_in(pd_file, capsys):
     code, out, _ = run(
         capsys, "sweep", pd_file, "--thetas", "0.5", "--alphas", "0.25", "--betas", "0"
@@ -522,14 +536,24 @@ def test_closed_stdout_pipe_ends_quietly(write_json, payoff, code):
     assert result.stderr == b""
 
 
-def test_cli_import_loads_no_numpy():
+def _loaded_by_cli_import(module: str) -> bool:
+    """Whether a fresh `import ewlgames.cli` puts ``module`` in sys.modules."""
     env = dict(os.environ, PYTHONPATH=str(Path(ewlgames.__file__).parents[1]))
-    probe = "import sys, ewlgames.cli; print('numpy' in sys.modules)"
+    probe = f"import sys, ewlgames.cli; print({module!r} in sys.modules)"
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    return result.stdout.strip() == "True"
+
+
+def test_cli_import_loads_no_numpy():
+    assert not _loaded_by_cli_import("numpy")
+
+
+def test_cli_import_loads_no_selfcheck():
+    # Only verify-oracle and reproduce need the reference suite.
+    assert not _loaded_by_cli_import("ewlgames.selfcheck")
 
 
 # --- fuzzing: any angle string or JSON document ends in a clean exit -----------

@@ -1,14 +1,17 @@
 """Exact bimatrix games: construction, variants, and isomorphism search."""
 
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ewlgames import (
     BimatrixGame,
+    UnitaryParams,
     VariantKind,
+    build_extension,
     find_isomorphism,
     game_from_json_dict,
     game_to_json_dict,
@@ -17,6 +20,8 @@ from ewlgames import (
     random_generic_game,
     variant,
 )
+from ewlgames.games import FLOAT_TOL
+import isomorphism_oracle
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 
@@ -171,6 +176,103 @@ def test_isomorphism_tolerance_for_float_payoffs(pd):
     )
     assert find_isomorphism(pd, bumped) is None
     assert find_isomorphism(pd, bumped, tol=1e-9) is not None
+
+
+def test_isomorphism_tolerance_is_exact_at_the_bound(pd):
+    # FLOAT_TOL read as its exact binary value, a little above 1e-9.
+    tol = F(FLOAT_TOL)
+    for bump, found in ((tol, True), (tol + F(1, 10**30), False)):
+        bumped = make_game(("C", "D"), ("C", "D"), [[(3 + bump, 3), (0, 5)], [(5, 0), (1, 1)]])
+        assert (find_isomorphism(pd, bumped, tol=FLOAT_TOL) is not None) == found
+
+
+@pytest.mark.parametrize("tol", [-1, float("nan"), float("inf")])
+def test_isomorphism_rejects_bad_tolerance(pd, tol):
+    with pytest.raises(ValueError, match="tolerance"):
+        find_isomorphism(pd, pd, tol=tol)
+
+
+# --- differential test against the brute-force Fraction search ---------------
+
+EXTREMES = (F(10**400), F(-(10**400)), F(1, 10**400), F(0), F(1))
+payoff_pools = st.sampled_from(
+    [
+        st.sampled_from([F(0), F(1), F(2)]),  # tie-heavy
+        rationals,
+        st.sampled_from(EXTREMES),  # 1e400 and 1/10**400
+    ]
+)
+offsets = st.sampled_from([F(0), F(FLOAT_TOL) / 2, F(FLOAT_TOL), 2 * F(FLOAT_TOL)])
+
+
+def _grid_game(grid, rows, cols) -> BimatrixGame:
+    return BimatrixGame(tuple(rows), tuple(cols), tuple(tuple(row) for row in grid))
+
+
+@st.composite
+def isomorphism_cases(draw):
+    """A game, a second game and a tolerance.
+
+    The second game is either drawn on its own or a presentation of the first
+    with rows and columns permuted, one cell then offset by 0, tol/2, tol or
+    2*tol for tol = FLOAT_TOL.
+    """
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    pool = draw(payoff_pools)
+    grid = [[(draw(pool), draw(pool)) for _ in range(m)] for _ in range(n)]
+    a = _grid_game(grid, (f"r{i}" for i in range(n)), (f"c{j}" for j in range(m)))
+    if draw(st.booleans()):
+        rows = draw(st.permutations(range(n)))
+        cols = draw(st.permutations(range(m)))
+        other = [[list(grid[i][j]) for j in cols] for i in rows]
+        i, j, p = draw(st.integers(0, n - 1)), draw(st.integers(0, m - 1)), draw(st.integers(0, 1))
+        other[i][j][p] += draw(st.sampled_from([1, -1])) * draw(offsets)
+        b = _grid_game(
+            [[tuple(c) for c in row] for row in other],
+            (f"R{i}" for i in rows),
+            (f"C{j}" for j in cols),
+        )
+    else:
+        rn, rm = draw(st.sampled_from([(n, m), (m, n), (3, 3)]))
+        b = _grid_game(
+            [[(draw(pool), draw(pool)) for _ in range(rm)] for _ in range(rn)],
+            (f"R{i}" for i in range(rn)),
+            (f"C{j}" for j in range(rm)),
+        )
+    return a, b, draw(st.sampled_from([0.0, FLOAT_TOL]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=isomorphism_cases())
+def test_isomorphism_matches_oracle(case):
+    a, b, tol = case
+    assert find_isomorphism(a, b, tol) == isomorphism_oracle.find_isomorphism(a, b, tol)
+    assert find_isomorphism(b, a, tol) == isomorphism_oracle.find_isomorphism(b, a, tol)
+
+
+# Float radians of operators that `classify` calls invariant (theta = pi/2,
+# beta - alpha a multiple of pi): rounding turns their exact ties into
+# near-ties, which only the tolerant search matches.
+invariant_float_angles = st.builds(
+    lambda k, j: (math.pi / 2, k * math.pi / 4, (k + 4 * j) % 8 * math.pi / 4),
+    st.integers(0, 7),
+    st.integers(0, 1),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    g=games_2x2(),
+    kind=st.sampled_from(list(VariantKind)),
+    angles=st.tuples(st.floats(0, math.pi), st.floats(0, 2 * math.pi), st.floats(0, 2 * math.pi))
+    | invariant_float_angles,
+    tol=st.sampled_from([0.0, FLOAT_TOL]),
+)
+def test_isomorphism_matches_oracle_on_float_extensions(g, kind, angles, tol):
+    params = UnitaryParams.from_radians(*angles)
+    base = build_extension(g, params).game
+    other = build_extension(variant(g, kind), params).game
+    assert find_isomorphism(base, other, tol) == isomorphism_oracle.find_isomorphism(base, other, tol)
 
 
 def test_is_generic(pd):
