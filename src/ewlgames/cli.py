@@ -298,7 +298,7 @@ def cmd_verify_oracle(args) -> tuple[int, str, str | None]:
     _check_count("--samples", args.samples)
     _check_count("--games", args.games)
     _check_tol(args.tol)
-    # selfcheck is imported by verify-oracle and reproduce only.
+    # A local import, as in cmd_reproduce, so that other commands do not compile selfcheck.
     from .selfcheck import max_oracle_deviation
 
     worst = max_oracle_deviation(samples=args.samples, seed=args.seed, n_games=args.games)

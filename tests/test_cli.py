@@ -536,24 +536,24 @@ def test_closed_stdout_pipe_ends_quietly(write_json, payoff, code):
     assert result.stderr == b""
 
 
-def _loaded_by_cli_import(module: str) -> bool:
-    """Whether a fresh `import ewlgames.cli` puts ``module`` in sys.modules."""
+def _loaded_by_cli_import(module: str) -> str:
+    """The probe's answer, "True" or "False": does `import ewlgames.cli` load ``module``?"""
     env = dict(os.environ, PYTHONPATH=str(Path(ewlgames.__file__).parents[1]))
     probe = f"import sys, ewlgames.cli; print({module!r} in sys.modules)"
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    return result.stdout.strip() == "True"
+    return result.stdout.strip()
 
 
 def test_cli_import_loads_no_numpy():
-    assert not _loaded_by_cli_import("numpy")
+    assert _loaded_by_cli_import("numpy") == "False"
 
 
 def test_cli_import_loads_no_selfcheck():
     # Only verify-oracle and reproduce need the reference suite.
-    assert not _loaded_by_cli_import("ewlgames.selfcheck")
+    assert _loaded_by_cli_import("ewlgames.selfcheck") == "False"
 
 
 # --- fuzzing: any angle string or JSON document ends in a clean exit -----------
