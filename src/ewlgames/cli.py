@@ -17,6 +17,7 @@ import os
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import product
 
 from .ewl import UnitaryParams, parse_angle, params_from_angles
 from .extension import build_extension, classify, empirical_invariance, extended_to_json_dict
@@ -181,7 +182,10 @@ def cmd_classify(args) -> tuple[int, str, str | None]:
 
 def cmd_solve(args) -> tuple[int, str, str | None]:
     game, data = _load_game(args.game)
-    exact = bool(data.get("exact", True))
+    exact = data.get("exact", True)
+    if not isinstance(exact, bool):
+        raise CliError(f"{args.game} is not a valid game file: exact must be true or false",
+                       EXIT_BAD_INPUT)
     if not exact and not args.allow_float_solve:
         raise CliError(
             "refusing to solve a float-built extension exactly; "
@@ -212,11 +216,7 @@ def cmd_isocheck(args) -> tuple[int, str, str | None]:
     params = None if args.theta is None else _params_from_args(args)
     bijection = find_isomorphism(game_a, game_b, tol=args.tol)
     if bijection is None:
-        searched = math.factorial(game_a.n_rows) * math.factorial(game_a.n_cols)
-        if game_a.shape != game_b.shape:
-            lines = ["isomorphic: no (shapes differ)"]
-        else:
-            lines = [f"isomorphic: no (searched {searched} bijection pairs)"]
+        lines = ["isomorphic: no" + (" (shapes differ)" if game_a.shape != game_b.shape else "")]
     else:
         lines = [
             "isomorphic: yes",
@@ -247,17 +247,8 @@ def cmd_sweep(args) -> tuple[int, str, str | None]:
     game, _ = _load_game(args.game)
     if game.shape != (2, 2):
         raise CliError(f"sweep needs a 2x2 game, got {game.shape}", EXIT_DOMAIN)
-    # Every point is parsed and range-checked before any point is solved.
+    # Every token is parsed before any point is solved.
     thetas, alphas, betas = [_angle_list(raw) for raw in (args.thetas, args.alphas, args.betas)]
-    points = []
-    for t_tok, theta in thetas:
-        for a_tok, alpha in alphas:
-            for b_tok, beta in betas:
-                try:
-                    params = params_from_angles(theta, alpha, beta)
-                except ValueError as exc:
-                    raise CliError(str(exc), EXIT_DOMAIN) from exc
-                points.append(((t_tok, a_tok, b_tok), params))
 
     # The whole CSV is built in memory, so a failure at any point leaves no
     # partial output behind.
@@ -267,8 +258,9 @@ def cmd_sweep(args) -> tuple[int, str, str | None]:
     # Many points share a payoff grid, so each distinct grid is solved once.
     # The memo belongs to this call, so it never outgrows one sweep.
     reports: dict[tuple, EquilibriumReport] = {}
-    for tokens, params in points:
+    for (t_tok, theta), (a_tok, alpha), (b_tok, beta) in product(thetas, alphas, betas):
         try:
+            params = params_from_angles(theta, alpha, beta)
             ext = build_extension(game, params)
         except ValueError as exc:
             raise CliError(str(exc), EXIT_DOMAIN) from exc
@@ -288,7 +280,7 @@ def cmd_sweep(args) -> tuple[int, str, str | None]:
             counts = [str(len(report.pure)), str(len(report.mixed))]
         else:
             pays = counts = ["", ""]
-        writer.writerow([*tokens, cls.kind.value, *counts, *pays])
+        writer.writerow([t_tok, a_tok, b_tok, cls.kind.value, *counts, *pays])
     if args.out:
         return EXIT_OK, "", buffer.getvalue()
     return EXIT_OK, buffer.getvalue(), None

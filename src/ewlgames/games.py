@@ -30,8 +30,10 @@ def rational(value: int | float | str | Fraction) -> Fraction:
 
     Strings may be integers ("3"), fractions ("-2/7") or decimals ("2.25"),
     all read exactly.  Floats keep their exact binary value; a non-finite
-    float raises ValueError.
+    float or a bool raises ValueError.
     """
+    if isinstance(value, bool):
+        raise ValueError(f"payoff {value!r} is not a number")
     if isinstance(value, str):
         return Fraction(value.strip())
     if isinstance(value, float) and not math.isfinite(value):
@@ -268,11 +270,20 @@ def game_to_json_dict(game: BimatrixGame) -> dict:
 
 
 def game_from_json_dict(data: dict) -> BimatrixGame:
-    """Parse the dict form produced by `game_to_json_dict`."""
+    """Parse the dict form produced by `game_to_json_dict`.
+
+    ``rows``, ``cols``, ``payoffs``, each payoff row and each cell must be
+    lists, as JSON arrays load, so that a string or an object is never read
+    by its characters or its keys.
+    """
     try:
         rows = data["rows"]
         cols = data["cols"]
         payoffs = data["payoffs"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"game JSON is missing field: {exc}") from exc
+    if not all(isinstance(v, list) for v in (rows, cols, payoffs)):
+        raise ValueError("rows, cols and payoffs must be arrays")
+    if not all(isinstance(row, list) and all(isinstance(c, list) for c in row) for row in payoffs):
+        raise ValueError("each payoff row must be an array of [player 1, player 2] arrays")
     return make_game(rows, cols, payoffs)

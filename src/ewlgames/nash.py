@@ -131,51 +131,45 @@ def pure_equilibria(game: BimatrixGame) -> list[tuple[int, int, Payoff]]:
     return found
 
 
-def mixed_payoff(game: BimatrixGame, profile: MixedProfile) -> Payoff:
-    """Exact expected payoff pair under a mixed profile."""
+def _pure_values(
+    game: BimatrixGame, profile: MixedProfile
+) -> tuple[list[Fraction], list[Fraction]]:
+    """Each player's expected payoff for each pure strategy against the other's mixture.
+
+    Returns ``(rows, cols)``: ``rows[i]`` is player 1's payoff for row i
+    against ``p2``, and ``cols[j]`` player 2's for column j against ``p1``.
+    """
     if len(profile.p1) != game.n_rows or len(profile.p2) != game.n_cols:
         raise ValueError(
             f"profile shape ({len(profile.p1)}, {len(profile.p2)}) "
             f"does not match game shape {game.shape}"
         )
-    u1 = _ZERO
-    u2 = _ZERO
-    for i, pi in enumerate(profile.p1):
-        if pi == 0:
-            continue
-        for j, qj in enumerate(profile.p2):
-            if qj == 0:
-                continue
-            a, b = game.payoff(i, j)
-            u1 += pi * qj * a
-            u2 += pi * qj * b
-    return (u1, u2)
+    rows = [_ZERO] * game.n_rows
+    cols = [_ZERO] * game.n_cols
+    for i, (pi, cells) in enumerate(zip(profile.p1, game.payoffs)):
+        for j, (qj, (a, b)) in enumerate(zip(profile.p2, cells)):
+            if qj:
+                rows[i] += qj * a
+            if pi:
+                cols[j] += pi * b
+    return rows, cols
 
 
-def _row_values(game: BimatrixGame, p2: tuple[Fraction, ...]) -> list[Fraction]:
-    """Player 1's expected payoff for each pure row against p2."""
-    return [
-        sum((qj * game.payoff(i, j)[0] for j, qj in enumerate(p2) if qj != 0), _ZERO)
-        for i in range(game.n_rows)
-    ]
+def _expected(p: tuple[Fraction, ...], values: list[Fraction]) -> Fraction:
+    """A player's expected payoff: its mixture dotted with its pure-strategy values."""
+    return sum((pi * v for pi, v in zip(p, values) if pi), _ZERO)
 
 
-def _col_values(game: BimatrixGame, p1: tuple[Fraction, ...]) -> list[Fraction]:
-    """Player 2's expected payoff for each pure column against p1."""
-    return [
-        sum((pi * game.payoff(i, j)[1] for i, pi in enumerate(p1) if pi != 0), _ZERO)
-        for j in range(game.n_cols)
-    ]
+def mixed_payoff(game: BimatrixGame, profile: MixedProfile) -> Payoff:
+    """Exact expected payoff pair under a mixed profile."""
+    rows, cols = _pure_values(game, profile)
+    return (_expected(profile.p1, rows), _expected(profile.p2, cols))
 
 
 def verify_equilibrium(game: BimatrixGame, profile: MixedProfile) -> bool:
     """True iff neither player has a pure deviation that strictly gains."""
-    u1, u2 = mixed_payoff(game, profile)
-    if any(v > u1 for v in _row_values(game, profile.p2)):
-        return False
-    if any(v > u2 for v in _col_values(game, profile.p1)):
-        return False
-    return True
+    rows, cols = _pure_values(game, profile)
+    return max(rows) <= _expected(profile.p1, rows) and max(cols) <= _expected(profile.p2, cols)
 
 
 # A vertex in integer form: numerators over one positive denominator, in
@@ -276,16 +270,17 @@ def support_enumeration(game: BimatrixGame) -> EquilibriumReport:
     mixed: list[tuple[MixedProfile, Payoff]] = []
     for (n1, d1), (n2, d2) in equilibria:
         s1, s2 = sum(n1), sum(n2)
-        p1, p2 = tuple(Fraction(v, s1) for v in n1), tuple(Fraction(v, s2) for v in n2)
-        profile = MixedProfile(p1, p2)
-        if profile.is_pure:
-            i, j = profile.support1[0], profile.support2[0]
+        # The numerators are nonnegative, so a vertex is pure when one of them
+        # is their whole sum.
+        if s1 in n1 and s2 in n2:
+            i, j = n1.index(s1), n2.index(s2)
             pure.append((i, j, game.payoff(i, j)))
         else:
+            p1, p2 = tuple(Fraction(v, s1) for v in n1), tuple(Fraction(v, s2) for v in n2)
             # Every best response to y = n2 / d2 scores 1 in shifted units, so
             # against the mixture n2 / s2 it scores d2 / s2; likewise for x.
             u1 = Fraction(d2 - shift1 * s2, s2 * scale1)
-            mixed.append((profile, (u1, Fraction(d1 - shift2 * s1, s1 * scale2))))
+            mixed.append((MixedProfile(p1, p2), (u1, Fraction(d1 - shift2 * s1, s1 * scale2))))
     pure.sort(key=lambda e: (e[0], e[1]))
     mixed.sort(key=lambda e: (e[0].p1, e[0].p2))
     return EquilibriumReport(tuple(pure), tuple(mixed), degenerate)

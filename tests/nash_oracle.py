@@ -4,6 +4,11 @@ This is the exact solver `ewlgames.nash` used before it moved to integer
 fraction-free elimination.  It stays here, unchanged in behaviour, as the
 oracle the differential tests in `test_nash.py` compare against: every
 report of `ewlgames.support_enumeration` must equal this module's.
+
+The profile checker below, `mixed_payoff` and `verify_equilibrium` with
+their per-player value scans, is the one `ewlgames.nash` used before it
+computed every pure strategy's value in one pass; it is the oracle for that
+pass.
 """
 
 from __future__ import annotations
@@ -11,11 +16,58 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from ewlgames import BimatrixGame, EquilibriumReport, MixedProfile, mixed_payoff, verify_equilibrium
+from ewlgames import BimatrixGame, EquilibriumReport, MixedProfile
 from ewlgames.games import Payoff
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def mixed_payoff(game: BimatrixGame, profile: MixedProfile) -> Payoff:
+    """Exact expected payoff pair under a mixed profile."""
+    if len(profile.p1) != game.n_rows or len(profile.p2) != game.n_cols:
+        raise ValueError(
+            f"profile shape ({len(profile.p1)}, {len(profile.p2)}) "
+            f"does not match game shape {game.shape}"
+        )
+    u1 = _ZERO
+    u2 = _ZERO
+    for i, pi in enumerate(profile.p1):
+        if pi == 0:
+            continue
+        for j, qj in enumerate(profile.p2):
+            if qj == 0:
+                continue
+            a, b = game.payoff(i, j)
+            u1 += pi * qj * a
+            u2 += pi * qj * b
+    return (u1, u2)
+
+
+def _row_values(game: BimatrixGame, p2: tuple[Fraction, ...]) -> list[Fraction]:
+    """Player 1's expected payoff for each pure row against p2."""
+    return [
+        sum((qj * game.payoff(i, j)[0] for j, qj in enumerate(p2) if qj != 0), _ZERO)
+        for i in range(game.n_rows)
+    ]
+
+
+def _col_values(game: BimatrixGame, p1: tuple[Fraction, ...]) -> list[Fraction]:
+    """Player 2's expected payoff for each pure column against p1."""
+    return [
+        sum((pi * game.payoff(i, j)[1] for i, pi in enumerate(p1) if pi != 0), _ZERO)
+        for j in range(game.n_cols)
+    ]
+
+
+def verify_equilibrium(game: BimatrixGame, profile: MixedProfile) -> bool:
+    """True iff neither player has a pure deviation that strictly gains."""
+    u1, u2 = mixed_payoff(game, profile)
+    if any(v > u1 for v in _row_values(game, profile.p2)):
+        return False
+    if any(v > u2 for v in _col_values(game, profile.p1)):
+        return False
+    return True
 
 
 def solve_rational_system(

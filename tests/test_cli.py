@@ -110,6 +110,42 @@ def test_game_schema_error_is_input_error(write_json, capsys):
     assert code == 2
 
 
+def _pd_with(**changes):
+    return json.loads(json.dumps(dict(PD_JSON, **changes)))
+
+
+def _pd_with_cell(i, j, cell):
+    document = _pd_with()
+    document["payoffs"][i][j] = cell
+    return document
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        _pd_with(rows="CD"),
+        _pd_with(cols="CD"),
+        _pd_with(rows={"C": 0, "D": 1}),
+        _pd_with(payoffs=[{"33": 0, "05": 0}, [["5", "0"], ["1", "1"]]]),
+        _pd_with_cell(0, 0, "33"),
+        _pd_with_cell(0, 1, {"0": 1, "5": 2}),
+        _pd_with_cell(1, 1, [True, True]),
+        _pd_with(exact="false"),
+        _pd_with(exact=0),
+    ],
+    ids=[
+        "rows-string", "cols-string", "rows-object", "payoff-row-object", "cell-string",
+        "cell-object", "payoff-bool", "exact-string", "exact-number",
+    ],
+)
+def test_game_file_off_the_format_is_input_error(write_json, capsys, document):
+    # No string or object may be read by its characters or keys, nor "exact" by its truth.
+    code, out, err = run(capsys, "solve", write_json("g.json", document))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
 @pytest.mark.parametrize("number", ["Infinity", "-Infinity", "1e400", "NaN"])
 def test_non_finite_payoff_is_input_error(tmp_path, capsys, number):
     # Python's json reads all four as non-finite floats.
@@ -268,7 +304,7 @@ def test_isocheck_variants(pd_file, write_json, capsys):
     )
     code, out, _ = run(capsys, "isocheck", pd_file, other)
     assert code == 0
-    assert "isomorphic: no (searched 4 bijection pairs)" in out
+    assert out.splitlines()[0] == "isomorphic: no"
 
 
 def test_isocheck_reports_invariance(pd_file, capsys):

@@ -238,6 +238,60 @@ def test_mixed_profile_validation():
         MixedProfile((F(1, 2), F(1, 4)), (F(1), F(0)))
 
 
+# --- the one-pass checker against the two-pass oracle ----------------------
+
+
+CHECKER_SHAPES = [(n, m) for n in (1, 2, 3) for m in (1, 2, 3)]
+tie_heavy_payoffs = st.integers(min_value=0, max_value=2)
+rational_payoffs = st.fractions(min_value=-5, max_value=5, max_denominator=9)
+
+
+@st.composite
+def mixtures(draw, size):
+    """A pure strategy, or rational weights (zeros likely) normalized to sum to one."""
+    if draw(st.booleans()):
+        k = draw(st.integers(0, size - 1))
+        return tuple(F(int(i == k)) for i in range(size))
+    weight = st.just(F(0)) | st.fractions(min_value=0, max_value=3, max_denominator=5)
+    weights = draw(st.lists(weight, min_size=size, max_size=size).filter(any))
+    return tuple(w / sum(weights) for w in weights)
+
+
+def reported_profiles(game):
+    """Every equilibrium in the game's report, the pure ones as profiles."""
+    n, m = game.shape
+    report = support_enumeration(game)
+    pure = [
+        profile([int(k == i) for k in range(n)], [int(k == j) for k in range(m)])
+        for i, j, _ in report.pure
+    ]
+    return pure + [prof for prof, _ in report.mixed]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_checker_matches_two_pass_oracle(data):
+    n, m = data.draw(st.sampled_from(CHECKER_SHAPES))
+    payoffs = data.draw(st.sampled_from([tie_heavy_payoffs, rational_payoffs]))
+    values = data.draw(st.lists(st.tuples(payoffs, payoffs), min_size=n * m, max_size=n * m))
+    g = grid_game(values, n, m)
+    kind = data.draw(st.sampled_from(["drawn", "equilibrium", "wrong-shape"]))
+    if kind == "wrong-shape":
+        wrong = data.draw(st.sampled_from([(n % 3 + 1, m), (n, m % 3 + 1)]))
+        prof = MixedProfile(data.draw(mixtures(wrong[0])), data.draw(mixtures(wrong[1])))
+        for check in (verify_equilibrium, mixed_payoff, nash_oracle.verify_equilibrium,
+                      nash_oracle.mixed_payoff):
+            with pytest.raises(ValueError):
+                check(g, prof)
+        return
+    if kind == "equilibrium":
+        prof = data.draw(st.sampled_from(reported_profiles(g)))
+    else:
+        prof = MixedProfile(data.draw(mixtures(n)), data.draw(mixtures(m)))
+    assert verify_equilibrium(g, prof) == nash_oracle.verify_equilibrium(g, prof)
+    assert mixed_payoff(g, prof) == nash_oracle.mixed_payoff(g, prof)
+
+
 # --- solver properties ------------------------------------------------------
 
 
