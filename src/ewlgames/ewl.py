@@ -22,6 +22,9 @@ from fractions import Fraction
 
 from .games import BimatrixGame
 
+# Radians within which `UnitaryParams.from_radians` snaps angles onto the exact grid.
+FLOAT_TOL = 1e-9
+
 _TWO_PI = 2.0 * math.pi
 
 
@@ -31,8 +34,8 @@ class UnitaryParams:
 
     ``pi_multiples`` is set when the angles are exact rational multiples of
     pi, which is what lets the extension builder recognize special operators
-    without float comparisons.  theta lies in [0, pi]; alpha and beta are
-    reduced modulo 2*pi.
+    without float comparisons; without them an operator is float, whatever
+    its angles.  theta lies in [0, pi]; alpha and beta are reduced mod 2*pi.
     """
 
     theta: float
@@ -57,16 +60,27 @@ class UnitaryParams:
 
     @classmethod
     def from_radians(cls, theta: float, alpha: float, beta: float) -> "UnitaryParams":
-        if not -1e-12 <= theta <= math.pi + 1e-12:
+        """Build from float radians: the one place float angles become exact.
+
+        If theta is within FLOAT_TOL of {0, pi/3, pi/2, 2pi/3, pi}, and alpha
+        and beta (mod 2*pi) each within FLOAT_TOL of a multiple of pi/4, this
+        is the `exact_pi` operator there: the grid where extensions are exact.
+        Any other operator stays float.  theta may overshoot [0, pi] by
+        FLOAT_TOL and is clamped.
+        """
+        if not -FLOAT_TOL <= theta <= math.pi + FLOAT_TOL:
             raise ValueError(f"theta = {theta} outside [0, pi]")
         for name, value in (("alpha", alpha), ("beta", beta)):
             if not math.isfinite(value):
                 raise ValueError(f"{name} = {value} is not a finite angle")
-        return cls(
-            theta=min(max(theta, 0.0), math.pi),
-            alpha=alpha % _TWO_PI,
-            beta=beta % _TWO_PI,
-        )
+        angles = (min(max(theta, 0.0), math.pi), alpha % _TWO_PI, beta % _TWO_PI)
+        steps = (6, 4, 4)  # theta in sixths of pi (not 1 or 5), alpha and beta in quarters
+        ks = [round(v * n / math.pi) for v, n in zip(angles, steps)]
+        if ks[0] not in (1, 5) and all(
+            abs(v - k * math.pi / n) <= FLOAT_TOL for v, k, n in zip(angles, ks, steps)
+        ):
+            return cls.exact_pi(*map(Fraction, ks, steps))
+        return cls(*angles)
 
     @property
     def is_exact(self) -> bool:

@@ -29,7 +29,6 @@ from operator import mul
 
 from .ewl import UnitaryParams, format_angle
 from .games import (
-    FLOAT_TOL,
     BimatrixGame,
     VariantKind,
     _integer_matrix,
@@ -40,8 +39,6 @@ from .games import (
 )
 
 EXT_LABELS = ("I", "iX", "U")
-
-_HALF_PI = math.pi / 2.0
 
 
 class InvarianceKind(Enum):
@@ -85,27 +82,22 @@ class ExtendedGame:
 def classify(params: UnitaryParams) -> ExtensionClass:
     """Invariance family of an operator.
 
-    The operator is reduced to its lattice point (k, l), with theta = pi/2,
-    alpha - beta = k*pi/2 and alpha + beta = l*pi/2: exactly from the pi
-    multiples, or for float parameters by snapping within FLOAT_TOL radians,
-    since the invariant set has measure zero.  Then n = l + k and m = l - k
-    are alpha and beta in units of pi/4, modulo 8, and one rule reads off
-    the family.  Odd k and l give n - m = 2 (mod 4), which no family accepts.
+    The operator is reduced, from its pi multiples, to its lattice point
+    (k, l), with theta = pi/2, alpha - beta = k*pi/2 and alpha + beta =
+    l*pi/2.  A float operator is never on the lattice, since
+    `UnitaryParams.from_radians` makes every operator near it exact.  Then
+    n = l + k and m = l - k are alpha and beta in units of pi/4, modulo 8,
+    and one rule reads off the family.  Odd k and l give n - m = 2 (mod 4),
+    which no family accepts.
     """
     non_invariant = ExtensionClass(InvarianceKind.NON_INVARIANT)
-    if params.is_exact:
-        t, a, b = params.pi_multiples
-        k, l = 2 * (a - b), 2 * (a + b)
-        if t != Fraction(1, 2) or k.denominator != 1 or l.denominator != 1:
-            return non_invariant
-        k, l = int(k), int(l)
-    elif abs(params.theta - _HALF_PI) > FLOAT_TOL:
+    if not params.is_exact:
         return non_invariant
-    else:
-        diff, total = params.alpha - params.beta, params.alpha + params.beta
-        k, l = round(diff / _HALF_PI), round(total / _HALF_PI)
-        if abs(diff - k * _HALF_PI) > FLOAT_TOL or abs(total - l * _HALF_PI) > FLOAT_TOL:
-            return non_invariant
+    t, a, b = params.pi_multiples
+    k, l = 2 * (a - b), 2 * (a + b)
+    if t != Fraction(1, 2) or k.denominator != 1 or l.denominator != 1:
+        return non_invariant
+    k, l = int(k), int(l)
     n, m = (l + k) % 8, (l - k) % 8
     if n in (0, 4) and m in (0, 4):
         kind = InvarianceKind.TYPE_I
@@ -224,9 +216,9 @@ def empirical_invariance(game: BimatrixGame, params: UnitaryParams) -> bool:
 
     Builds the extension of the game and of its three relabeled variants and
     returns True iff each variant's extension is strongly isomorphic to the
-    base one.  Float-built extensions are compared within FLOAT_TOL.  On
-    non-generic games the verdict can be an accident of payoff ties, so a
-    warning is emitted.
+    base one.  It compares exactly on both routes: every invariant operator
+    is exact, so a float operator needs no tolerance.  On non-generic games
+    the verdict can be an accident of payoff ties, so a warning is emitted.
     """
     if not is_generic(game):
         warnings.warn(
@@ -234,11 +226,9 @@ def empirical_invariance(game: BimatrixGame, params: UnitaryParams) -> bool:
             "payoff ties can make the verdict accidental",
             stacklevel=2,
         )
-    base = build_extension(game, params)
-    tol = 0.0 if base.exact else FLOAT_TOL
+    base = build_extension(game, params).game
     for kind in VariantKind:
-        other = build_extension(variant(game, kind), params)
-        if find_isomorphism(base.game, other.game, tol=tol) is None:
+        if find_isomorphism(base, build_extension(variant(game, kind), params).game) is None:
             return False
     return True
 
@@ -246,16 +236,9 @@ def empirical_invariance(game: BimatrixGame, params: UnitaryParams) -> bool:
 def extended_to_json_dict(ext: ExtendedGame) -> dict:
     """Extended game as a JSON-ready dict: the game plus params/class/exact."""
     data = game_to_json_dict(ext.game)
-    if ext.params.is_exact:
-        t, a, b = ext.params.pi_multiples
-        angles = {"theta": format_angle(t), "alpha": format_angle(a), "beta": format_angle(b)}
-    else:
-        angles = {
-            "theta": ext.params.theta,
-            "alpha": ext.params.alpha,
-            "beta": ext.params.beta,
-        }
-    data["params"] = angles
+    p = ext.params
+    angles = map(format_angle, p.pi_multiples) if p.is_exact else (p.theta, p.alpha, p.beta)
+    data["params"] = dict(zip(("theta", "alpha", "beta"), angles))
     data["class"] = classify(ext.params).kind.value
     data["exact"] = ext.exact
     return data

@@ -9,6 +9,8 @@ value and compares integers.
 from __future__ import annotations
 
 import math
+import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -17,25 +19,39 @@ from typing import Iterable, Optional, Sequence
 
 Payoff = tuple[Fraction, Fraction]
 
-# The float policy.  Float angles and float-built payoffs count as equal
-# within FLOAT_TOL (radians or payoff units), and float-built payoffs are
-# snapped to fractions with denominators up to SNAP_DENOMINATOR before they
-# are solved exactly.
-FLOAT_TOL = 1e-9
+# Float-built payoffs are snapped to fractions with denominators up to
+# SNAP_DENOMINATOR before they are solved exactly.
 SNAP_DENOMINATOR = 10**9
+
+# The decimal exponent at the end of a payoff string such as "2.5e-3".
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
 def rational(value: int | float | str | Fraction) -> Fraction:
     """Coerce a payoff entry to an exact Fraction.
 
-    Strings may be integers ("3"), fractions ("-2/7") or decimals ("2.25"),
-    all read exactly.  Floats keep their exact binary value; a non-finite
-    float or a bool raises ValueError.
+    Strings may be integers ("3"), fractions ("-2/7") or decimals ("2.25",
+    "1e-3"), all read exactly.  Floats keep their exact binary value; a
+    non-finite float or a bool raises ValueError.  So does a string whose
+    numerator or denominator would have more digits than
+    `sys.get_int_max_str_digits()` allows (0 means no limit); a decimal
+    exponent that could not fit is refused before `Fraction` expands it.
+    Without an exponent, a string no longer than the limit always fits.
     """
     if isinstance(value, bool):
         raise ValueError(f"payoff {value!r} is not a number")
     if isinstance(value, str):
-        return Fraction(value.strip())
+        exponent = _EXPONENT.search(value)
+        limit = sys.get_int_max_str_digits()
+        if not limit or not exponent and len(value) <= limit:
+            return Fraction(value.strip())
+        too_long = ValueError(f"payoff {value[:40]!r} has more than {limit} digits")
+        if exponent and abs(int(exponent[1])) > limit + len(value):
+            raise too_long
+        result = Fraction(value.strip())
+        if max(abs(result.numerator), result.denominator) >= 10**limit:
+            raise too_long
+        return result
     if isinstance(value, float) and not math.isfinite(value):
         raise ValueError(f"payoff {value!r} is not a finite number")
     return Fraction(value)
@@ -274,7 +290,7 @@ def game_from_json_dict(data: dict) -> BimatrixGame:
 
     ``rows``, ``cols``, ``payoffs``, each payoff row and each cell must be
     lists, as JSON arrays load, so that a string or an object is never read
-    by its characters or its keys.
+    by its characters or its keys.  Each strategy label must be a string.
     """
     try:
         rows = data["rows"]
@@ -284,6 +300,8 @@ def game_from_json_dict(data: dict) -> BimatrixGame:
         raise ValueError(f"game JSON is missing field: {exc}") from exc
     if not all(isinstance(v, list) for v in (rows, cols, payoffs)):
         raise ValueError("rows, cols and payoffs must be arrays")
+    if not all(isinstance(label, str) for label in rows + cols):
+        raise ValueError("strategy labels must be strings")
     if not all(isinstance(row, list) and all(isinstance(c, list) for c in row) for row in payoffs):
         raise ValueError("each payoff row must be an array of [player 1, player 2] arrays")
     return make_game(rows, cols, payoffs)

@@ -132,10 +132,15 @@ def _pd_with_cell(i, j, cell):
         _pd_with_cell(1, 1, [True, True]),
         _pd_with(exact="false"),
         _pd_with(exact=0),
+        _pd_with(rows=[None, ["x"]]),
+        _pd_with(cols=[1, True]),
+        _pd_with_cell(1, 0, ["1e5000", "0"]),
+        _pd_with_cell(1, 0, ["-1e-5000", "0"]),
     ],
     ids=[
         "rows-string", "cols-string", "rows-object", "payoff-row-object", "cell-string",
-        "cell-object", "payoff-bool", "exact-string", "exact-number",
+        "cell-object", "payoff-bool", "exact-string", "exact-number", "rows-null",
+        "cols-mixed", "payoff-exponent", "payoff-negative-exponent",
     ],
 )
 def test_game_file_off_the_format_is_input_error(write_json, capsys, document):
@@ -541,6 +546,21 @@ def test_classify_command(capsys):
     code, out, _ = run(capsys, "classify", "--theta", "1/2pi", "--alpha", "1/4pi", "--beta", "3/4pi")
     assert code == 0
     assert out.strip() == "class: TypeIII (k=-1, l=2)"
+
+
+def test_near_grid_decimal_angles_are_exact(pd_file, capsys):
+    # Ten-digit radians of (pi/2, pi/4, 3pi/4): within 1e-9 of the grid, so
+    # every command reads them as the exact operator.
+    angles = ["--theta", "1.5707963272", "--alpha", "0.7853981634", "--beta", "2.3561944902"]
+    code, out, _ = run(capsys, "classify", *angles)
+    assert code == 0 and out == "class: TypeIII (k=-1, l=2)\n"
+    code, out, _ = run(capsys, "extend", pd_file, *angles)
+    assert code == 0
+    assert out.splitlines()[-1] == "class: TypeIII (k=-1, l=2)  exact: true"
+    assert out == run(capsys, "extend", pd_file, "--theta", "1/2pi", "--alpha", "1/4pi",
+                      "--beta", "3/4pi")[1]
+    code, out, _ = run(capsys, "isocheck", pd_file, pd_file, *angles)
+    assert code == 0 and out.endswith("invariant under relabelings: yes\n")
 
 
 def test_identical_invocations_are_byte_identical(pd_file, capsys):

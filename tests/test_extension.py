@@ -157,16 +157,27 @@ def test_census_of_quarter_pi_grid():
 def test_classify_float_parameters_snap_to_grid():
     half_pi = math.pi / 2
     on_grid = UnitaryParams.from_radians(half_pi, half_pi, half_pi)
+    assert on_grid.pi_multiples == (HALF, HALF, HALF)
     assert classify(on_grid).kind is InvarianceKind.TYPE_II
     nudged = UnitaryParams.from_radians(half_pi + 4e-10, half_pi - 4e-10, half_pi)
+    assert nudged.pi_multiples == (HALF, HALF, HALF)
     assert classify(nudged).kind is InvarianceKind.TYPE_II
     off = UnitaryParams.from_radians(half_pi, half_pi + 1e-5, half_pi)
     assert classify(off).kind is InvarianceKind.NON_INVARIANT
-    # The float tolerance is 1e-9 rad on alpha - beta and alpha + beta.
+    # The float tolerance is 1e-9 rad on each of theta, alpha and beta.
     within = UnitaryParams.from_radians(half_pi, half_pi + 9e-10, half_pi)
+    assert within.pi_multiples == (HALF, HALF, HALF)
     assert classify(within).kind is InvarianceKind.TYPE_II
     beyond = UnitaryParams.from_radians(half_pi, half_pi + 1.1e-9, half_pi)
+    assert not beyond.is_exact and beyond.alpha == half_pi + 1.1e-9
     assert classify(beyond).kind is InvarianceKind.NON_INVARIANT
+    # theta may overshoot pi by the tolerance; phases snap modulo 2*pi.
+    flip = UnitaryParams.from_radians(math.pi + 5e-10, -half_pi / 2, 2 * math.pi - 5e-10)
+    assert flip.pi_multiples == (F(1), F(7, 4), F(0))
+    with pytest.raises(ValueError, match="outside"):
+        UnitaryParams.from_radians(math.pi + 2e-9, 0.0, 0.0)
+    # pi/6 is not on the grid where extensions are exact.
+    assert not UnitaryParams.from_radians(math.pi / 6, 0.0, 0.0).is_exact
     # k = l = 1: on the lattice, but odd k and l fit no family.
     odd = UnitaryParams.from_radians(half_pi, half_pi, 0.0)
     assert classify(odd) == ExtensionClass(InvarianceKind.NON_INVARIANT)
@@ -260,20 +271,64 @@ def test_float_cells_match_closed_form_off_grid():
 
 
 def test_float_route_agrees_with_exact_route_on_grid(pd):
+    # from_radians would snap these angles back onto the grid, so the float
+    # route is reached through the raw constructor.
     rng = random.Random(55)
     games = [pd, random_generic_game(rng)]
     for g in games:
         for p in invariant_grid_operators():
             exact = build_extension(g, p)
-            as_float = build_extension(
-                g, UnitaryParams.from_radians(p.theta, p.alpha, p.beta)
-            )
+            as_float = build_extension(g, UnitaryParams(p.theta, p.alpha, p.beta))
             assert exact.exact and not as_float.exact
             for i in range(3):
                 for j in range(3):
                     want, got = exact.game.payoff(i, j), as_float.game.payoff(i, j)
                     assert abs(float(want[0]) - float(got[0])) <= 1e-12
                     assert abs(float(want[1]) - float(got[1])) <= 1e-12
+
+
+def _scaled(game, scale):
+    return make_game(
+        game.row_labels,
+        game.col_labels,
+        [[(a * scale, b * scale) for a, b in row] for row in game.payoffs],
+    )
+
+
+NEAR_GRID_OFFSETS = (0.0, 1e-17, 3e-10, -7e-10, 1.5e-9, 1e-8, 1e-6)
+
+
+def _near_grid_radians(rng):
+    """Float angles on, near or off the grid, mostly at theta = pi/2."""
+    theta = HALF if rng.random() < 0.7 else rng.choice([F(0), F(1, 3), F(2, 3), F(1)])
+    multiples = (theta, F(rng.randrange(8), 4), F(rng.randrange(8), 4))
+    t, a, b = (float(v) * math.pi + rng.choice(NEAR_GRID_OFFSETS) for v in multiples)
+    return min(max(t, 0.0), math.pi), a, b
+
+
+def test_classify_agrees_with_empirical_invariance_near_the_grid():
+    # Generic games at payoff scales 1e-6 to 1e6: a payoff tolerance would
+    # call an operator 1.5e-9 off the grid invariant at the small scales.
+    rng = random.Random(2024)
+    for _ in range(400):
+        g = _scaled(random_generic_game(rng), F(10) ** rng.randint(-6, 6))
+        p = UnitaryParams.from_radians(*_near_grid_radians(rng))
+        assert classify(p).invariant == empirical_invariance(g, p), p
+
+
+def test_from_radians_decides_whether_the_extension_is_exact(pd):
+    rng = random.Random(31)
+    angles = [_near_grid_radians(rng) for _ in range(200)]
+    angles += [
+        (rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi))
+        for _ in range(50)
+    ]
+    exact = 0
+    for theta, alpha, beta in angles:
+        p = UnitaryParams.from_radians(theta, alpha, beta)
+        assert p.is_exact == build_extension(pd, p).exact
+        exact += p.is_exact
+    assert 0 < exact < len(angles)
 
 
 @pytest.mark.parametrize(

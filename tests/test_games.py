@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -18,9 +19,10 @@ from ewlgames import (
     is_generic,
     make_game,
     random_generic_game,
+    rational,
     variant,
 )
-from ewlgames.games import FLOAT_TOL
+from ewlgames.ewl import FLOAT_TOL
 import isomorphism_oracle
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -251,8 +253,9 @@ def test_isomorphism_matches_oracle(case):
 
 
 # Float radians of operators that `classify` calls invariant (theta = pi/2,
-# beta - alpha a multiple of pi): rounding turns their exact ties into
-# near-ties, which only the tolerant search matches.
+# beta - alpha a multiple of pi), built raw so that they stay on the float
+# route: rounding turns their exact ties into near-ties, which only the
+# tolerant search matches.
 invariant_float_angles = st.builds(
     lambda k, j: (math.pi / 2, k * math.pi / 4, (k + 4 * j) % 8 * math.pi / 4),
     st.integers(0, 7),
@@ -269,7 +272,7 @@ invariant_float_angles = st.builds(
     tol=st.sampled_from([0.0, FLOAT_TOL]),
 )
 def test_isomorphism_matches_oracle_on_float_extensions(g, kind, angles, tol):
-    params = UnitaryParams.from_radians(*angles)
+    params = UnitaryParams(*angles)
     base = build_extension(g, params).game
     other = build_extension(variant(g, kind), params).game
     assert find_isomorphism(base, other, tol) == isomorphism_oracle.find_isomorphism(base, other, tol)
@@ -300,3 +303,18 @@ def test_game_json_round_trip(pd):
 def test_game_json_missing_field_rejected():
     with pytest.raises(ValueError, match="missing"):
         game_from_json_dict({"rows": ["A"], "payoffs": [[["0", "0"]]]})
+
+
+def test_payoff_string_within_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    assert rational(f"2.5e{limit - 1}") == F(25) * 10 ** (limit - 2)
+    assert rational(f"2e-{limit}") == F(2, 10**limit)
+    long_decimal = "0." + "0" * (limit - 1) + "1"  # no exponent, limit + 1 digits below
+    for text in (f"1e{limit}", "1e5000", "-1e-5000", f"5e-{limit + 1}", "1e5000000", long_decimal):
+        with pytest.raises(ValueError, match="digits"):
+            rational(text)
+    sys.set_int_max_str_digits(0)  # no limit
+    try:
+        assert rational("1e5000") == F(10) ** 5000
+    finally:
+        sys.set_int_max_str_digits(limit)
