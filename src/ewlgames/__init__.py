@@ -29,6 +29,7 @@ from .extension import (
     classify,
     empirical_invariance,
     extended_to_json_dict,
+    outcome_weights,
 )
 from .games import (
     BimatrixGame,
@@ -86,6 +87,7 @@ __all__ = [
     "is_generic",
     "make_game",
     "mixed_payoff",
+    "outcome_weights",
     "params_from_angles",
     "parse_angle",
     "payoff_from_state",

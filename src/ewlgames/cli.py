@@ -20,7 +20,13 @@ from fractions import Fraction
 from itertools import product
 
 from .ewl import UnitaryParams, parse_angle, params_from_angles
-from .extension import build_extension, classify, empirical_invariance, extended_to_json_dict
+from .extension import (
+    build_extension,
+    classify,
+    empirical_invariance,
+    extended_to_json_dict,
+    outcome_weights,
+)
 from .games import BimatrixGame, find_isomorphism, game_from_json_dict, snapped
 from .nash import EquilibriumReport, report_to_json_dict, support_enumeration
 
@@ -234,13 +240,43 @@ def cmd_isocheck(args) -> tuple[int, str, str | None]:
 
 
 def _angle_list(raw: str) -> list[tuple[str, Fraction | float]]:
-    """The non-empty comma-separated tokens of ``raw``, each with its parsed angle."""
+    """The non-empty comma-separated tokens of ``raw``, stripped, each with its parsed angle."""
     if not isinstance(raw, str):  # argparse reads "--thetas=--" as []
         raise CliError(f"cannot parse angle list {raw!r}", EXIT_BAD_INPUT)
     try:
-        return [(tok, parse_angle(tok)) for tok in raw.split(",") if tok.strip()]
+        angles = [(tok.strip(), parse_angle(tok)) for tok in raw.split(",") if tok.strip()]
     except ValueError as exc:
         raise CliError(str(exc), EXIT_BAD_INPUT) from exc
+    if not angles:
+        raise CliError(f"angle list {raw!r} holds no angle", EXIT_BAD_INPUT)
+    return angles
+
+
+def _sweep_row(game: BimatrixGame, params: UnitaryParams, allow_float_solve: bool,
+               reports: dict[tuple, EquilibriumReport]) -> list[str]:
+    """The class, equilibrium counts and first equilibrium's payoffs of one sweep point.
+
+    ``reports`` maps each payoff grid solved so far to its report.
+    """
+    try:
+        ext = build_extension(game, params)
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_DOMAIN) from exc
+    kind = classify(params).kind.value
+    if not (ext.exact or allow_float_solve):
+        return [kind, "", "", "", ""]
+    target = ext.game if ext.exact else snapped(ext.game)
+    report = reports.get(target.payoffs)
+    if report is None:
+        report = reports[target.payoffs] = support_enumeration(target)
+    first = None
+    if report.pure:
+        first = report.pure[0][2]
+    elif report.mixed:
+        first = report.mixed[0][1]
+    with _rendering():
+        pays = [_fmt(v, ext.exact) for v in first] if first else ["", ""]
+    return [kind, str(len(report.pure)), str(len(report.mixed)), *pays]
 
 
 def cmd_sweep(args) -> tuple[int, str, str | None]:
@@ -255,32 +291,24 @@ def cmd_sweep(args) -> tuple[int, str, str | None]:
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(["theta", "alpha", "beta", "class", "n_pure", "n_mixed", "payoff1", "payoff2"])
-    # Many points share a payoff grid, so each distinct grid is solved once.
-    # The memo belongs to this call, so it never outgrows one sweep.
+    # A row after its angles depends only on the operator's outcome-weight
+    # table, so each table is built, classified and solved once.  The key
+    # holds `exact` too, because int and float tables can compare equal.
+    # Under it, points whose tables differ but give one payoff grid share
+    # one report.  Both memos belong to this call, so they never outgrow one
+    # sweep.
+    rows: dict[tuple, list[str]] = {}
     reports: dict[tuple, EquilibriumReport] = {}
     for (t_tok, theta), (a_tok, alpha), (b_tok, beta) in product(thetas, alphas, betas):
         try:
             params = params_from_angles(theta, alpha, beta)
-            ext = build_extension(game, params)
         except ValueError as exc:
             raise CliError(str(exc), EXIT_DOMAIN) from exc
-        cls = classify(params)
-        if ext.exact or args.allow_float_solve:
-            target = ext.game if ext.exact else snapped(ext.game)
-            report = reports.get(target.payoffs)
-            if report is None:
-                report = reports[target.payoffs] = support_enumeration(target)
-            first = None
-            if report.pure:
-                first = report.pure[0][2]
-            elif report.mixed:
-                first = report.mixed[0][1]
-            with _rendering():
-                pays = [_fmt(v, ext.exact) for v in first] if first else ["", ""]
-            counts = [str(len(report.pure)), str(len(report.mixed))]
-        else:
-            pays = counts = ["", ""]
-        writer.writerow([t_tok, a_tok, b_tok, cls.kind.value, *counts, *pays])
+        key = outcome_weights(params)
+        row = rows.get(key)
+        if row is None:
+            row = rows[key] = _sweep_row(game, params, args.allow_float_solve, reports)
+        writer.writerow([t_tok, a_tok, b_tok, *row])
     if args.out:
         return EXIT_OK, "", buffer.getvalue()
     return EXIT_OK, buffer.getvalue(), None

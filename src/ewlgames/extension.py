@@ -170,6 +170,18 @@ def _outcome_weights(two_cos_t, c2a, s2a, c2b, s2b, s2ab):
     )
 
 
+def outcome_weights(params: UnitaryParams):
+    """The operator's outcome-weight table and whether it is exact.
+
+    The table holds sixteen times the weights (w00, w01, w10, w11) of the
+    five new cells, as `_outcome_weights` describes: ints when the angles
+    allow it, floats otherwise.  The extension of every 2x2 game by the
+    operator is a function of the table and `exact` alone.
+    """
+    values, exact = _trig_values(params)
+    return _outcome_weights(*values), exact
+
+
 def build_extension(game: BimatrixGame, params: UnitaryParams) -> ExtendedGame:
     """The 3x3 extension of a 2x2 game by the strategy U(theta, alpha, beta).
 
@@ -183,8 +195,7 @@ def build_extension(game: BimatrixGame, params: UnitaryParams) -> ExtendedGame:
     if game.shape != (2, 2):
         raise ValueError(f"extensions need a 2x2 game, got {game.shape}")
     cells = [game.payoff(0, 0), game.payoff(0, 1), game.payoff(1, 0), game.payoff(1, 1)]
-    values, exact = _trig_values(params)
-    weights = _outcome_weights(*values)
+    weights, exact = outcome_weights(params)
     columns = []  # each player's five new payoffs
     for player in (0, 1):
         if exact:

@@ -6,9 +6,11 @@ von Stengel, Economic Theory 42, 2010).  With payoffs shifted to be
 positive, player 1's polytope is {x >= 0 : B^T x <= 1} and player 2's is
 {y >= 0 : A y <= 1}.  A vertex pair whose labels cover every pure strategy
 (each strategy unplayed or a best response) is an extreme equilibrium, and
-its normalization is in the report.  Every vertex is enumerated, so the
-search is complete for every shape, degenerate games included, and a report
-with a single equilibrium is a uniqueness proof by exhaustion.
+its normalization is in the report.  Strictly dominated strategies are
+removed first, which leaves every equilibrium in place, and every vertex of
+the rest is enumerated.  So the search is complete for every shape,
+degenerate games included, and a report with a single equilibrium is a
+uniqueness proof by exhaustion.
 
 The enumeration runs in integers.  Each player's payoffs are multiplied by
 the lcm of their denominators and shifted, which leaves every equilibrium
@@ -200,21 +202,53 @@ def _positive_matrix(values: list[list[Fraction]]) -> tuple[list[list[int]], int
     return [[v + shift for v in row] for row in ints], scale, shift
 
 
-def _vertices(constraints: list[list[int]], size: int) -> dict[_Vertex, tuple[int, int]]:
+def _undominated(
+    a_by_row: list[list[int]], b_by_col: list[list[int]]
+) -> tuple[list[int], list[int]]:
+    """The rows and columns that survive iterated elimination of strictly dominated strategies.
+
+    A strategy goes when another pure strategy of the same player pays
+    strictly more against every surviving strategy of the opponent.  This
+    leaves the set of Nash equilibria unchanged (Fudenberg and Tirole, Game
+    Theory, 1991, section 2.1); weak dominance does not.  Strict dominance is
+    transitive, so every dominated strategy of a player goes at once.
+    """
+    rows, cols = list(range(len(a_by_row))), list(range(len(b_by_col)))
+    while True:
+        kept_rows = [i for i in rows if not _dominated(a_by_row, i, rows, cols)]
+        kept_cols = [j for j in cols if not _dominated(b_by_col, j, cols, kept_rows)]
+        if len(kept_rows) == len(rows) and len(kept_cols) == len(cols):
+            return rows, cols
+        rows, cols = kept_rows, kept_cols
+
+
+def _dominated(payoffs: list[list[int]], own: int, mine: list[int], theirs: list[int]) -> bool:
+    """Whether ``payoffs[own]`` is strictly below another of ``mine`` at every one of ``theirs``."""
+    row = payoffs[own]
+    return any(all(payoffs[k][t] > row[t] for t in theirs) for k in mine)
+
+
+def _vertices(
+    constraints: list[list[int]], size: int, own: list[int], opponent: list[int]
+) -> dict[_Vertex, tuple[int, int]]:
     """The nonzero vertices of ``{x >= 0 : c . x <= 1 for c in constraints}``, with labels.
 
     ``constraints[k][i]`` is the opponent's positive payoff for its pure
-    strategy k when this player plays i.  Every vertex is the unique
-    solution of ``c . x = 1`` over some set K of constraints with x zero off
-    some support S of the same size, so every such pair (S, K) is tried.
-    The labels are read off the vertex itself, not off (S, K): the first
-    mask has bit i set where x_i = 0, the second bit k where constraint k is
-    tight, that is where strategy k is the opponent's best response.
+    strategy k when this player plays i.  Only the strategies ``own`` of
+    this player and ``opponent`` of the opponent take part: x is zero off
+    ``own``, and the other constraints are dropped.  Every vertex is the
+    unique solution of ``c . x = 1`` over some set K of constraints with x
+    zero off some support S of the same size, so every such pair (S, K) is
+    tried.  The labels are read off the vertex itself, not off (S, K): the
+    first mask has bit i set where x_i = 0, the second bit k where
+    constraint k is tight, that is where strategy k is the opponent's best
+    response.  A dropped constraint is never tight.
     """
     vertices: dict[_Vertex, tuple[int, int]] = {}
-    for k in range(1, min(size, len(constraints)) + 1):
-        for support in combinations(range(size), k):
-            for tight in combinations(constraints, k):
+    kept = [constraints[k] for k in opponent]
+    for k in range(1, min(len(own), len(kept)) + 1):
+        for support in combinations(own, k):
+            for tight in combinations(kept, k):
                 solved = _eliminate([[c[i] for i in support] + [1] for c in tight])
                 if solved is None or min(solved[0]) < 0:
                     continue
@@ -222,10 +256,11 @@ def _vertices(constraints: list[list[int]], size: int) -> dict[_Vertex, tuple[in
                 x = [0] * size
                 for i, v in zip(support, nums):
                     x[i] = v
-                slack = [den - _dot(c, x) for c in constraints]
+                slack = [den - _dot(c, x) for c in kept]
                 if min(slack) < 0:
                     continue
-                vertices[tuple(x), den] = (_mask(v == 0 for v in x), _mask(s == 0 for s in slack))
+                best = sum(1 << j for j, s in zip(opponent, slack) if s == 0)
+                vertices[tuple(x), den] = (_mask(v == 0 for v in x), best)
     return vertices
 
 
@@ -234,10 +269,11 @@ def support_enumeration(game: BimatrixGame) -> EquilibriumReport:
 
     Enumerates the vertices of the two best-response polytopes and pairs
     those whose labels cover every pure strategy (von Stengel, Handbook of
-    Game Theory 3, 2002).  Complete for every shape; the number of systems
-    grows with the number of support pairs, 19 per player on 3x3.  Each
-    player's payoffs are scaled to integers and every system is solved by
-    fraction-free elimination; `Fraction` appears only in the report.
+    Game Theory 3, 2002).  Complete for every shape.  Strictly dominated
+    strategies are removed first; the number of systems grows with the
+    number of support pairs among the rest, at most 19 per player on 3x3.
+    Each player's payoffs are scaled to integers and every system is solved
+    by fraction-free elimination; `Fraction` appears only in the report.
     """
     n, m = game.shape
     # A positive scaling or a shift of one player's payoffs leaves every best
@@ -248,9 +284,13 @@ def support_enumeration(game: BimatrixGame) -> EquilibriumReport:
     b_by_col, scale2, shift2 = _positive_matrix(
         [[game.payoff(i, j)[1] for i in range(n)] for j in range(m)]
     )
+    # Removing strictly dominated strategies leaves every equilibrium, and
+    # each one's vertex pair, unchanged: a removed strategy is unplayed, and
+    # it is never a best response, so its constraint is never tight.
+    rows, cols = _undominated(a_by_row, b_by_col)
     # Player 1's polytope is {x >= 0 : B^T x <= 1}, player 2's {y >= 0 : A y <= 1}.
-    xs = _vertices(b_by_col, n)
-    ys = _vertices(a_by_row, m)
+    xs = _vertices(b_by_col, n, rows, cols)
+    ys = _vertices(a_by_row, m, cols, rows)
 
     # A vertex pair is an equilibrium when every pure strategy is unplayed or
     # a best response to the other vertex.

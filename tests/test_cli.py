@@ -379,6 +379,20 @@ def test_sweep_solves_each_distinct_grid_once(pd_file, capsys, monkeypatch):
     assert len(calls) == len(set(calls)) == 45
 
 
+def test_sweep_builds_each_weight_table_once(pd_file, capsys, monkeypatch):
+    built = []
+
+    def build(game, params):
+        built.append(params)
+        return ewlgames.build_extension(game, params)
+
+    monkeypatch.setattr(cli, "build_extension", build)
+    code, out, _ = run(capsys, "sweep", pd_file, *FULL_GRID)
+    assert code == 0 and len(out.splitlines()) == 1 + 320
+    assert len(built) == 45
+    assert len({ewlgames.outcome_weights(p) for p in built}) == 45
+
+
 def test_float_sweep_equals_pointwise_solves(pd_file, capsys, monkeypatch):
     # At theta = 0 beta drops out, so the three betas share one snapped grid
     # for each alpha, and the memo is hit.
@@ -402,14 +416,26 @@ def test_float_sweep_equals_pointwise_solves(pd_file, capsys, monkeypatch):
     assert all(row.split(",")[4] for row in pointwise)  # every point was solved
 
 
-@pytest.mark.parametrize("thetas, code", [("1/2pi,bogus", 2), ("1/2pi,2pi", 3)])
+def test_sweep_writes_stripped_tokens(pd_file, capsys):
+    code, out, _ = run(capsys, "sweep", pd_file, "--thetas", "0, 1/2pi", "--alphas", " 0",
+                       "--betas", "1/2pi ,")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [row[:3] for row in rows[1:]] == [["0", "0", "1/2pi"], ["1/2pi", "0", "1/2pi"]]
+
+
+# An axis with no angle in it is malformed too.
+@pytest.mark.parametrize(
+    "thetas, code", [("1/2pi,bogus", 2), ("1/2pi,2pi", 3), (",", 2), ("", 2), (" , ,", 2)]
+)
 def test_failed_sweep_leaves_no_output(pd_file, tmp_path, capsys, thetas, code):
     out_path = tmp_path / "sweep.csv"
-    got, _, err = run(
+    got, out, err = run(
         capsys, "sweep", pd_file, "--thetas", thetas, "--alphas", "0", "--betas", "0",
         "-o", str(out_path),
     )
-    assert got == code and err.startswith("error:")
+    assert got == code and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
     assert not out_path.exists()
 
 

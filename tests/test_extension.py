@@ -22,6 +22,7 @@ from ewlgames import (
     extended_to_json_dict,
     find_isomorphism,
     make_game,
+    outcome_weights,
     random_generic_game,
     variant,
 )
@@ -152,6 +153,26 @@ def test_census_of_quarter_pi_grid():
     assert counts[InvarianceKind.TYPE_II] == 4
     assert counts[InvarianceKind.TYPE_III] == 16
     assert counts[InvarianceKind.NON_INVARIANT] == 40
+
+
+def test_operators_with_one_weight_table_share_class_and_extensions():
+    # The 320 exact operators of the canonical sweep: theta on the Niven
+    # grid, alpha and beta on quarters of pi.  `sweep` reuses a row for
+    # every operator with the same weight table, which is sound only if the
+    # table fixes the class and the extension of every game.
+    rng = random.Random(97)
+    games = [random_generic_game(rng), random_generic_game(rng)]
+    thetas = (F(0), F(1, 3), HALF, F(2, 3), F(1))
+    seen = {}
+    for t in thetas:
+        for i in range(8):
+            for j in range(8):
+                params = UnitaryParams.exact_pi(t, F(i, 4), F(j, 4))
+                weights, exact = outcome_weights(params)
+                assert exact
+                found = (classify(params).kind, [build_extension(g, params).game for g in games])
+                assert seen.setdefault(weights, found) == found
+    assert len(seen) == 45
 
 
 def test_classify_float_parameters_snap_to_grid():

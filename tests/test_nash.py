@@ -456,6 +456,24 @@ def test_matches_oracle_on_extensions(snap):
         assert_matches_oracle(snapped(ext.game) if snap else ext.game)
 
 
+# Player 1's and player 2's payoffs.  In the whole game only column c2 is
+# strictly dominated; then r2, c1 and r1 go in turn, each dominated only
+# once the one before it is gone.
+CHAIN_A = [[3, 1, 0], [2, 2, 0], [1, 0, 5]]
+CHAIN_B = [[3, 2, 0], [4, 1, 0], [1, 5, 0]]
+
+
+def test_iterated_dominance_chain_matches_oracle():
+    game = grid_game([(a, b) for ra, rb in zip(CHAIN_A, CHAIN_B) for a, b in zip(ra, rb)], 3, 3)
+    b_by_col = [list(col) for col in zip(*CHAIN_B)]
+    everything = [0, 1, 2]
+    assert not any(nash._dominated(CHAIN_A, i, everything, everything) for i in everything)
+    assert [j for j in everything if nash._dominated(b_by_col, j, everything, everything)] == [2]
+    assert nash._undominated(CHAIN_A, b_by_col) == ([0], [0])
+    report = assert_matches_oracle(game)
+    assert report.pure == ((0, 0, (3, 3)),) and not report.mixed and not report.degenerate
+
+
 @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (3, 2), (1, 3), (4, 4), (2, 4)])
 def test_matches_oracle_on_other_shapes(shape):
     rng = random.Random(61)
