@@ -252,12 +252,8 @@ def _angle_list(raw: str) -> list[tuple[str, Fraction | float]]:
     return angles
 
 
-def _sweep_row(game: BimatrixGame, params: UnitaryParams, allow_float_solve: bool,
-               reports: dict[tuple, EquilibriumReport]) -> list[str]:
-    """The class, equilibrium counts and first equilibrium's payoffs of one sweep point.
-
-    ``reports`` maps each payoff grid solved so far to its report.
-    """
+def _sweep_row(game: BimatrixGame, params: UnitaryParams, allow_float_solve: bool) -> list[str]:
+    """The class, equilibrium counts and first equilibrium's payoffs of one sweep point."""
     try:
         ext = build_extension(game, params)
     except ValueError as exc:
@@ -265,10 +261,7 @@ def _sweep_row(game: BimatrixGame, params: UnitaryParams, allow_float_solve: boo
     kind = classify(params).kind.value
     if not (ext.exact or allow_float_solve):
         return [kind, "", "", "", ""]
-    target = ext.game if ext.exact else snapped(ext.game)
-    report = reports.get(target.payoffs)
-    if report is None:
-        report = reports[target.payoffs] = support_enumeration(target)
+    report = support_enumeration(ext.game if ext.exact else snapped(ext.game))
     first = None
     if report.pure:
         first = report.pure[0][2]
@@ -294,11 +287,8 @@ def cmd_sweep(args) -> tuple[int, str, str | None]:
     # A row after its angles depends only on the operator's outcome-weight
     # table, so each table is built, classified and solved once.  The key
     # holds `exact` too, because int and float tables can compare equal.
-    # Under it, points whose tables differ but give one payoff grid share
-    # one report.  Both memos belong to this call, so they never outgrow one
-    # sweep.
+    # The memo belongs to this call, so it never outgrows one sweep.
     rows: dict[tuple, list[str]] = {}
-    reports: dict[tuple, EquilibriumReport] = {}
     for (t_tok, theta), (a_tok, alpha), (b_tok, beta) in product(thetas, alphas, betas):
         try:
             params = params_from_angles(theta, alpha, beta)
@@ -307,7 +297,7 @@ def cmd_sweep(args) -> tuple[int, str, str | None]:
         key = outcome_weights(params)
         row = rows.get(key)
         if row is None:
-            row = rows[key] = _sweep_row(game, params, args.allow_float_solve, reports)
+            row = rows[key] = _sweep_row(game, params, args.allow_float_solve)
         writer.writerow([t_tok, a_tok, b_tok, *row])
     if args.out:
         return EXIT_OK, "", buffer.getvalue()

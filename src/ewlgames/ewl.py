@@ -62,11 +62,10 @@ class UnitaryParams:
     def from_radians(cls, theta: float, alpha: float, beta: float) -> "UnitaryParams":
         """Build from float radians: the one place float angles become exact.
 
-        If theta is within FLOAT_TOL of {0, pi/3, pi/2, 2pi/3, pi}, and alpha
-        and beta (mod 2*pi) each within FLOAT_TOL of a multiple of pi/4, this
-        is the `exact_pi` operator there: the grid where extensions are exact.
-        Any other operator stays float.  theta may overshoot [0, pi] by
-        FLOAT_TOL and is clamped.
+        If theta, and alpha and beta (mod 2*pi), are each within FLOAT_TOL of
+        a point of the exact grid (see `grid_point`), this is the `exact_pi`
+        operator there.  Any other operator stays float.  theta may
+        overshoot [0, pi] by FLOAT_TOL and is clamped.
         """
         if not -FLOAT_TOL <= theta <= math.pi + FLOAT_TOL:
             raise ValueError(f"theta = {theta} outside [0, pi]")
@@ -74,32 +73,54 @@ class UnitaryParams:
             if not math.isfinite(value):
                 raise ValueError(f"{name} = {value} is not a finite angle")
         angles = (min(max(theta, 0.0), math.pi), alpha % _TWO_PI, beta % _TWO_PI)
-        steps = (6, 4, 4)  # theta in sixths of pi (not 1 or 5), alpha and beta in quarters
+        steps = (6, 4, 4)  # theta in sixths of pi, alpha and beta in quarters
         ks = [round(v * n / math.pi) for v, n in zip(angles, steps)]
-        if ks[0] not in (1, 5) and all(
-            abs(v - k * math.pi / n) <= FLOAT_TOL for v, k, n in zip(angles, ks, steps)
-        ):
-            return cls.exact_pi(*map(Fraction, ks, steps))
+        if all(abs(v - k * math.pi / n) <= FLOAT_TOL for v, k, n in zip(angles, ks, steps)):
+            near = cls.exact_pi(*map(Fraction, ks, steps))
+            if near.grid_point is not None:
+                return near
         return cls(*angles)
 
     @property
     def is_exact(self) -> bool:
         return self.pi_multiples is not None
 
+    @property
+    def grid_point(self) -> tuple[int, int, int] | None:
+        """(sixths, qa, qb) on the exact grid, else None.
+
+        The exact grid is theta in {0, pi/3, pi/2, 2pi/3, pi}, a multiple of
+        pi/3 or pi/2, with alpha and beta multiples of pi/4.  By Niven's
+        theorem it is where every extension is rational.  On it, theta is
+        sixths*pi/6, alpha qa*pi/4 and beta qb*pi/4, read off the pi
+        multiples as they are stored, unreduced.  A float operator is never
+        on it.
+        """
+        if self.pi_multiples is None:
+            return None
+        t, a, b = self.pi_multiples
+        if t.denominator > 3 or 4 % a.denominator or 4 % b.denominator:
+            return None
+        return (
+            t.numerator * (6 // t.denominator),
+            a.numerator * (4 // a.denominator),
+            b.numerator * (4 // b.denominator),
+        )
+
 
 def parse_angle(token: str) -> Fraction | float:
     """Parse an angle written either as a rational multiple of pi or in radians.
 
-    "1/2pi", "pi", "3/4pi", "2pi" and plain "0" are exact (a Fraction giving
+    "1/2pi", "pi", "-pi", "3/4pi", "2pi" and plain "0" are exact (a Fraction giving
     the multiple of pi); any other decimal is float radians.  Anything else,
     including a zero denominator and non-finite decimals, raises ValueError.
     """
     if not isinstance(token, str):
         raise ValueError(f"cannot parse angle {token!r}")
     token = token.strip().lower().replace(" ", "")
-    match = re.fullmatch(r"([+-]?\d+(?:/\d+)?)?pi", token)
+    match = re.fullmatch(r"([+-]?)(\d+(?:/\d+)?)?pi", token)
     try:
-        value = Fraction(match.group(1) or 1) if match else float(token)
+        value = Fraction(match.group(1) + (match.group(2) or "1")) if match else float(token)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"cannot parse angle {token!r}") from None
     if isinstance(value, Fraction):

@@ -82,23 +82,17 @@ class ExtendedGame:
 def classify(params: UnitaryParams) -> ExtensionClass:
     """Invariance family of an operator.
 
-    The operator is reduced, from its pi multiples, to its lattice point
-    (k, l), with theta = pi/2, alpha - beta = k*pi/2 and alpha + beta =
-    l*pi/2.  A float operator is never on the lattice, since
-    `UnitaryParams.from_radians` makes every operator near it exact.  Then
-    n = l + k and m = l - k are alpha and beta in units of pi/4, modulo 8,
-    and one rule reads off the family.  Odd k and l give n - m = 2 (mod 4),
-    which no family accepts.
+    Only grid points with theta = pi/2 can be invariant; a float operator is
+    never on the grid, since `UnitaryParams.from_radians` makes every
+    operator near it exact.  There n and m, alpha and beta in units of pi/4
+    modulo 8, read off the family, and the witness (k, l) is half their
+    difference and sum.
     """
-    non_invariant = ExtensionClass(InvarianceKind.NON_INVARIANT)
-    if not params.is_exact:
-        return non_invariant
-    t, a, b = params.pi_multiples
-    k, l = 2 * (a - b), 2 * (a + b)
-    if t != Fraction(1, 2) or k.denominator != 1 or l.denominator != 1:
-        return non_invariant
-    k, l = int(k), int(l)
-    n, m = (l + k) % 8, (l - k) % 8
+    point = params.grid_point
+    if point is None or point[0] != 3:
+        return ExtensionClass(InvarianceKind.NON_INVARIANT)
+    _, qa, qb = point
+    n, m = qa % 8, qb % 8
     if n in (0, 4) and m in (0, 4):
         kind = InvarianceKind.TYPE_I
     elif n in (2, 6) and m in (2, 6):
@@ -106,8 +100,8 @@ def classify(params: UnitaryParams) -> ExtensionClass:
     elif n % 2 == 1 and m % 2 == 1:
         kind = InvarianceKind.TYPE_III
     else:
-        return non_invariant
-    return ExtensionClass(kind, (k, l))
+        return ExtensionClass(InvarianceKind.NON_INVARIANT)
+    return ExtensionClass(kind, ((qa - qb) // 2, (qa + qb) // 2))
 
 
 # 2*cos(k*pi/6) at the k where it is an integer, and (cos, sin)(q*pi/2).
@@ -118,23 +112,17 @@ _COS_SIN_QUARTERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 def _trig_values(params: UnitaryParams):
     """2*cos(theta), cos(2a), sin(2a), cos(2b), sin(2b) and sin(2(a - b)), and exactness.
 
-    By Niven's theorem the six values are all rational exactly when theta is
-    a multiple of pi/3 or pi/2 and alpha and beta are multiples of pi/4 (the
-    quarter-pi grid, in particular I, iX and Q, at theta in {0, pi/3, pi/2,
-    2pi/3, pi}).  Then 2*cos(theta) lies in {0, +-1, +-2} and the other five
-    in {0, +-1}, and all six are ints read off the pi multiples; otherwise
-    all six are floats.
+    On the exact grid (`UnitaryParams.grid_point`) 2*cos(theta) lies in
+    {0, +-1, +-2} and the other five in {0, +-1}, and all six are ints read
+    off the grid point; otherwise all six are floats.
     """
-    if params.is_exact:
-        t, a, b = params.pi_multiples
-        if t.denominator in (1, 2, 3) and 4 % a.denominator == 0 and 4 % b.denominator == 0:
-            sixths = t.numerator * (6 // t.denominator) % 12
-            quarters_a = a.numerator * (4 // a.denominator) % 4  # 2a in units of pi/2
-            quarters_b = b.numerator * (4 // b.denominator) % 4
-            c2a, s2a = _COS_SIN_QUARTERS[quarters_a]
-            c2b, s2b = _COS_SIN_QUARTERS[quarters_b]
-            s2ab = _COS_SIN_QUARTERS[(quarters_a - quarters_b) % 4][1]
-            return (_TWICE_COS_SIXTHS[sixths], c2a, s2a, c2b, s2b, s2ab), True
+    point = params.grid_point
+    if point is not None:
+        sixths, qa, qb = point  # 2a and 2b in units of pi/2
+        c2a, s2a = _COS_SIN_QUARTERS[qa % 4]
+        c2b, s2b = _COS_SIN_QUARTERS[qb % 4]
+        s2ab = _COS_SIN_QUARTERS[(qa - qb) % 4][1]
+        return (_TWICE_COS_SIXTHS[sixths % 12], c2a, s2a, c2b, s2b, s2ab), True
     t, a, b = params.theta, params.alpha, params.beta
     values = (
         2 * math.cos(t),

@@ -574,6 +574,13 @@ def test_classify_command(capsys):
     assert out.strip() == "class: TypeIII (k=-1, l=2)"
 
 
+def test_classify_accepts_a_signed_bare_pi(capsys):
+    # -pi is pi mod 2pi: alpha = pi, beta = 0 at theta = pi/2 is family I.
+    code, out, _ = run(capsys, "classify", "--theta", "1/2pi", "--alpha=-pi", "--beta", "0")
+    assert code == 0 and out == "class: TypeI (k=2, l=2)\n"
+    assert run(capsys, "classify", "--theta", "1/2pi", "--alpha", "+pi", "--beta", "0")[1] == out
+
+
 def test_near_grid_decimal_angles_are_exact(pd_file, capsys):
     # Ten-digit radians of (pi/2, pi/4, 3pi/4): within 1e-9 of the grid, so
     # every command reads them as the exact operator.

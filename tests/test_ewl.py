@@ -215,6 +215,9 @@ def test_closed_form_matches_statevector_route(pd):
         ("3/4 pi", F(3, 4)),
         ("0.75", 0.75),
         ("1.5e0", 1.5),
+        ("-pi", F(-1)),
+        ("+pi", F(1)),
+        ("+3/4pi", F(3, 4)),
     ],
 )
 def test_parse_angle(token, expected):
@@ -224,6 +227,12 @@ def test_parse_angle(token, expected):
 def test_parse_angle_rejects_garbage():
     with pytest.raises(ValueError):
         parse_angle("half a pie")
+
+
+@pytest.mark.parametrize("token", ["bogus", "1/2p", "pi/2", "2pix", "1..2", "--pi", "+-pi", "-", "1/0pi"])
+def test_parse_angle_rejects_malformed_tokens(token):
+    with pytest.raises(ValueError, match="cannot parse angle"):
+        parse_angle(token)
 
 
 @pytest.mark.parametrize("value", [F(0), F(1), F(1, 2), F(7, 4), 0.3125])

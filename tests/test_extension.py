@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -27,6 +28,7 @@ from ewlgames import (
     variant,
 )
 from family_oracle import build_type_matrix, oracle_extension_grid
+from invariance_oracle import oracle_invariant
 
 HALF = F(1, 2)
 
@@ -438,6 +440,45 @@ def test_classifier_matches_empirical_check_on_eighth_pi_grid(pd):
                 for j in range(16):
                     p = UnitaryParams.exact_pi(t, F(i, 8), F(j, 8))
                     assert classify(p).invariant == empirical_invariance(g, p)
+
+
+def test_classify_agrees_with_the_weight_array_oracle():
+    # Every operator with theta in sixths of pi and alpha, beta in eighths:
+    # the whole exact grid and the float operators between its points.
+    invariant = 0
+    for i in range(7):
+        for j in range(16):
+            for k in range(16):
+                p = UnitaryParams.exact_pi(F(i, 6), F(j, 8), F(k, 8))
+                verdict = oracle_invariant(p)
+                assert classify(p).invariant == verdict, p.pi_multiples
+                invariant += verdict
+    assert invariant == 24
+
+
+def test_grid_point_marks_the_exact_extensions(pd):
+    for i in range(13):
+        for j in range(16):
+            for k in range(16):
+                p = UnitaryParams.exact_pi(F(i, 12), F(j, 8), F(k, 8))
+                assert (p.grid_point is not None) == build_extension(pd, p).exact, p.pi_multiples
+
+
+def test_from_radians_keeps_the_grid_point_within_tolerance():
+    # from_radians clamps a theta that overshoots [0, pi] by up to FLOAT_TOL.
+    nudges = list(product((-5e-10, 5e-10), repeat=3))
+    points = 0
+    for i in range(13):
+        for j in range(8):
+            for k in range(8):
+                p = UnitaryParams.exact_pi(F(i, 12), F(j, 4), F(k, 4))
+                if p.grid_point is None:
+                    continue
+                points += 1
+                for dt, da, db in nudges:
+                    q = UnitaryParams.from_radians(p.theta + dt, p.alpha + da, p.beta + db)
+                    assert q.grid_point == p.grid_point, (p.pi_multiples, dt, da, db)
+    assert points == 5 * 8 * 8
 
 
 def test_invariance_check_warns_on_non_generic_game():
