@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
@@ -410,20 +411,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command: write its ``-o`` file, then its standard output.
+    """Run one command: write its ``-o`` file, then its warnings and standard output.
 
     Commands return ``(exit code, stdout text, -o text or None)`` and write
     nothing themselves.  A `CliError` from the command or from the ``-o``
-    write leaves standard output empty and any ``-o`` target as it was.
+    write leaves standard output empty and any ``-o`` target as it was, and
+    drops the command's warnings; otherwise each is one ``warning:`` line.
     """
     args = build_parser().parse_args(argv)
     try:
-        code, text, saved = args.func(args)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, text, saved = args.func(args)
         if saved is not None:
             _write_output(args.out, saved)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
     try:
         sys.stdout.write(text)
         sys.stdout.flush()

@@ -3,10 +3,11 @@
 The extended 3x3 game keeps the two classical strategies (played as I and
 iX) in its top-left block and adds one row and column for the unitary
 strategy U(theta, alpha, beta).  Whether the result is invariant under
-relabelings of the classical game depends only on the angles: at
-theta = pi/2 with alpha and beta on the quarter-pi grid (minus a parity
-exclusion) there are exactly 24 invariant operators, falling into three
-families whose payoff matrices are rational in the input payoffs:
+relabelings of the classical game depends only on the angles.  It is
+invariant exactly at theta = pi/2 with n, m = 4*alpha/pi, 4*beta/pi
+integers mod 8 that are both in {0, 4}, both in {2, 6}, or both odd: 24
+operators, falling into three families whose payoff matrices are rational
+in the input payoffs:
 
   * family I  : the new row/column averages the classical ones pairwise,
                 so the extension collapses to classical mixing;
@@ -109,40 +110,31 @@ _TWICE_COS_SIXTHS = {0: 2, 2: 1, 3: 0, 4: -1, 6: -2, 8: -1, 9: 0, 10: 1}
 _COS_SIN_QUARTERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
-def _trig_values(params: UnitaryParams):
-    """2*cos(theta), cos(2a), sin(2a), cos(2b), sin(2b) and sin(2(a - b)), and exactness.
+def outcome_weights(params: UnitaryParams):
+    """The operator's outcome-weight table and whether it is exact.
 
+    The table holds sixteen times the weights (w00, w01, w10, w11) of the
+    five new cells (I, U), (iX, U), (U, I), (U, iX), (U, U): the
+    probabilities |<ij|Psi>|^2 of the EWL protocol in double-angle form.
     On the exact grid (`UnitaryParams.grid_point`) 2*cos(theta) lies in
-    {0, +-1, +-2} and the other five in {0, +-1}, and all six are ints read
-    off the grid point; otherwise all six are floats.
+    {0, +-1, +-2} and cos(2a), sin(2a), cos(2b), sin(2b) and sin(2(a - b))
+    in {0, +-1}, all ints read off the grid point, so the one polynomial
+    gives ints; otherwise it gives floats.  The extension of every 2x2 game
+    by the operator is a function of the table and `exact` alone.
     """
     point = params.grid_point
     if point is not None:
         sixths, qa, qb = point  # 2a and 2b in units of pi/2
+        two_cos_t = _TWICE_COS_SIXTHS[sixths % 12]
         c2a, s2a = _COS_SIN_QUARTERS[qa % 4]
         c2b, s2b = _COS_SIN_QUARTERS[qb % 4]
         s2ab = _COS_SIN_QUARTERS[(qa - qb) % 4][1]
-        return (_TWICE_COS_SIXTHS[sixths % 12], c2a, s2a, c2b, s2b, s2ab), True
-    t, a, b = params.theta, params.alpha, params.beta
-    values = (
-        2 * math.cos(t),
-        math.cos(2 * a),
-        math.sin(2 * a),
-        math.cos(2 * b),
-        math.sin(2 * b),
-        math.sin(2 * (a - b)),
-    )
-    return values, False
-
-
-def _outcome_weights(two_cos_t, c2a, s2a, c2b, s2b, s2ab):
-    """Sixteen times the outcome weights (w00, w01, w10, w11) of the five new cells.
-
-    The cells come in the order (I, U), (iX, U), (U, I), (U, iX), (U, U).
-    Each weight is the probability |<ij|Psi>|^2 of the EWL protocol in
-    double-angle form, times 16: one polynomial that is an int on the exact
-    route and a float on the float route.
-    """
+    else:
+        t, a, b = params.theta, params.alpha, params.beta
+        two_cos_t = 2 * math.cos(t)
+        c2a, s2a = math.cos(2 * a), math.sin(2 * a)
+        c2b, s2b = math.cos(2 * b), math.sin(2 * b)
+        s2ab = math.sin(2 * (a - b))
     h, hb = 2 + two_cos_t, 2 - two_cos_t  # 4 cos^2(theta/2), 4 sin^2(theta/2)
     # 16 cos^2(alpha) cos^2(theta/2), 16 sin^2(alpha) cos^2(theta/2), and the
     # same with beta and sin^2(theta/2).
@@ -155,19 +147,7 @@ def _outcome_weights(two_cos_t, c2a, s2a, c2b, s2b, s2ab):
         (ca, sb, cb, sa),
         (sb, ca, sa, cb),
         ((c2a * h + s2b * hb) ** 2, mid, mid, (s2a * h - c2b * hb) ** 2),
-    )
-
-
-def outcome_weights(params: UnitaryParams):
-    """The operator's outcome-weight table and whether it is exact.
-
-    The table holds sixteen times the weights (w00, w01, w10, w11) of the
-    five new cells, as `_outcome_weights` describes: ints when the angles
-    allow it, floats otherwise.  The extension of every 2x2 game by the
-    operator is a function of the table and `exact` alone.
-    """
-    values, exact = _trig_values(params)
-    return _outcome_weights(*values), exact
+    ), point is not None
 
 
 def build_extension(game: BimatrixGame, params: UnitaryParams) -> ExtendedGame:
@@ -217,15 +197,16 @@ def empirical_invariance(game: BimatrixGame, params: UnitaryParams) -> bool:
     returns True iff each variant's extension is strongly isomorphic to the
     base one.  It compares exactly on both routes: every invariant operator
     is exact, so a float operator needs no tolerance.  On non-generic games
-    the verdict can be an accident of payoff ties, so a warning is emitted.
+    the verdict can be an accident of payoff ties, so a warning is emitted,
+    once the base extension (which checks the shape) is built.
     """
+    base = build_extension(game, params).game
     if not is_generic(game):
         warnings.warn(
             "empirical invariance checked on a non-generic game; "
             "payoff ties can make the verdict accidental",
             stacklevel=2,
         )
-    base = build_extension(game, params).game
     for kind in VariantKind:
         if find_isomorphism(base, build_extension(variant(game, kind), params).game) is None:
             return False

@@ -117,7 +117,9 @@ def _eliminate(rows: list[list[int]]) -> tuple[list[int], int] | None:
     # Row r now reads rows[r][r] * x_r = rows[r][n]; bring every pivot to one
     # positive denominator.
     den = lcm(*(row[r] for r, row in enumerate(rows)))
-    return _lowest_terms([row[n] * (den // row[r]) for r, row in enumerate(rows)], den)
+    nums = [row[n] * (den // row[r]) for r, row in enumerate(rows)]
+    g = gcd(den, *nums)
+    return ([v // g for v in nums], den // g) if g > 1 else (nums, den)
 
 
 def pure_equilibria(game: BimatrixGame) -> list[tuple[int, int, Payoff]]:
@@ -177,19 +179,6 @@ def verify_equilibrium(game: BimatrixGame, profile: MixedProfile) -> bool:
 # A vertex in integer form: numerators over one positive denominator, in
 # lowest terms, so equal vertices have equal keys.
 _Vertex = tuple[tuple[int, ...], int]
-
-
-def _dot(a: list[int], b: list[int]) -> int:
-    return sum(map(mul, a, b))
-
-
-def _lowest_terms(nums: list[int], den: int) -> tuple[list[int], int]:
-    g = gcd(den, *nums)
-    return ([v // g for v in nums], den // g) if g > 1 else (nums, den)
-
-
-def _mask(flags) -> int:
-    return sum(1 << k for k, flag in enumerate(flags) if flag)
 
 
 def _positive_matrix(values: list[list[Fraction]]) -> tuple[list[list[int]], int, int]:
@@ -256,11 +245,12 @@ def _vertices(
                 x = [0] * size
                 for i, v in zip(support, nums):
                     x[i] = v
-                slack = [den - _dot(c, x) for c in kept]
+                slack = [den - sum(map(mul, c, x)) for c in kept]
                 if min(slack) < 0:
                     continue
                 best = sum(1 << j for j, s in zip(opponent, slack) if s == 0)
-                vertices[tuple(x), den] = (_mask(v == 0 for v in x), best)
+                unplayed = sum(1 << i for i, v in enumerate(x) if v == 0)
+                vertices[tuple(x), den] = (unplayed, best)
     return vertices
 
 

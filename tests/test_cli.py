@@ -286,6 +286,22 @@ def test_float_extension_needs_opt_in(pd_file, tmp_path, capsys):
     assert "pure equilibria" in out
 
 
+def test_off_grid_rational_angle_takes_the_float_route(pd_file, tmp_path, capsys):
+    # pi/5 is a rational multiple of pi off the exact grid: cos(pi/5) is irrational.
+    ext_path = str(tmp_path / "e.json")
+    code, out, _ = run(
+        capsys, "extend", pd_file, "--theta", "1/5pi", "--alpha", "0", "--beta", "0",
+        "-o", ext_path,
+    )
+    assert code == 0
+    assert out.splitlines()[-1] == "class: NonInvariant  exact: false"
+    data = json.loads(open(ext_path).read())
+    assert data["params"] == {"theta": "1/5pi", "alpha": "0", "beta": "0"}
+    assert data["exact"] is False
+    code, out, err = run(capsys, "solve", ext_path)
+    assert code == 3 and out == "" and "allow-float-solve" in err
+
+
 def test_isocheck_variants(pd_file, write_json, capsys):
     swapped = write_json(
         "pd_rows.json",
@@ -324,6 +340,34 @@ def test_isocheck_reports_invariance(pd_file, capsys):
         "--theta", "1/2pi", "--alpha", "1/2pi", "--beta", "1/2pi",
     )
     assert "invariant under relabelings: yes" in out
+
+
+def test_tied_isocheck_warns_in_one_line_on_every_call(write_json, capsys):
+    tied = write_json(
+        "tie.json", dict(PD_JSON, payoffs=[[["3", "3"], ["0", "5"]], [["5", "0"], ["3", "3"]]])
+    )
+    for _ in range(2):
+        code, out, err = run(
+            capsys, "isocheck", tied, tied, "--theta", "1/2pi", "--alpha", "0", "--beta", "0"
+        )
+        assert code == 0 and out.endswith("invariant under relabelings: yes\n")
+        assert err.splitlines() == [
+            "warning: empirical invariance checked on a non-generic game; "
+            "payoff ties can make the verdict accidental"
+        ]
+
+
+def test_failed_tied_isocheck_prints_only_its_error(write_json):
+    # A child process, so that a stray warning would reach its standard error.
+    tied = write_json("gi3.json", GI3_JSON)
+    env = dict(os.environ, PYTHONPATH=str(Path(ewlgames.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-m", "ewlgames.cli", "isocheck", tied, tied,
+         "--theta", "1/2pi", "--alpha", "0", "--beta", "0"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 3 and result.stdout == ""
+    assert result.stderr == "error: extensions need a 2x2 game, got (3, 3)\n"
 
 
 def test_sweep_csv(pd_file, capsys):

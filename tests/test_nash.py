@@ -54,9 +54,9 @@ HALF_SUPPORT = profile((F(1, 2), 0, F(1, 2)), (F(1, 2), 0, F(1, 2)))
 def eliminate(rows, rhs):
     """Solve a square rational system with `nash._eliminate`, after scaling it to integers.
 
-    Asserts that `_eliminate` returns the `Fraction` oracle's solution when
-    that solution is unique, and None when the system is singular.  Returns
-    the oracle's answer, (particular, nullspace).
+    Asserts that `_eliminate` returns the `Fraction` oracle's solution, in
+    lowest terms, when that solution is unique, and None when the system is
+    singular.  Returns the oracle's answer, (particular, nullspace).
     """
     int_rows, _ = nash._integer_matrix([[*row, r] for row, r in zip(rows, rhs)])
     solved = nash._eliminate(int_rows)
@@ -65,7 +65,8 @@ def eliminate(rows, rhs):
         assert solved is None
     else:
         nums, den = solved
-        assert den > 0 and [F(v, den) for v in nums] == expected[0]
+        assert den > 0 and math.gcd(den, *nums) == 1
+        assert [F(v, den) for v in nums] == expected[0]
     return expected
 
 
@@ -73,6 +74,10 @@ def test_solver_unique_solution():
     sol, null = eliminate([[F(2), F(1)], [F(1), F(-1)]], [F(4), F(-1)])
     assert sol == [F(1), F(2)] and null == []
     assert nash._eliminate([[2, 1, 4], [1, -1, -1]]) == ([1, 2], 1)
+    # No row is combined into another here, so each keeps its common factor
+    # until the final reduction to lowest terms: 2x = 4, then 4x = 2 and 6y = 3.
+    assert nash._eliminate([[2, 4]]) == ([2], 1)
+    assert nash._eliminate([[4, 0, 2], [0, 6, 3]]) == ([1, 1], 2)
 
 
 def test_solver_inconsistent():
