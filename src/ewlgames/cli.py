@@ -75,7 +75,8 @@ def _write_output(path: str, text: str) -> None:
 
     The text goes to a temporary file beside ``path``, which replaces
     ``path`` only once it is complete.  On any failure the temporary file is
-    removed, and a file that was already at ``path`` is left as it was.
+    removed, and a file that was already at ``path`` is left as it was.  The
+    error names ``path`` and the OS reason, never the temporary file.
     """
     tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
     try:
@@ -88,7 +89,7 @@ def _write_output(path: str, text: str) -> None:
             os.unlink(tmp)
             raise
     except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc}", EXIT_BAD_INPUT) from exc
+        raise CliError(f"cannot write {path}: {exc.strerror}", EXIT_BAD_INPUT) from exc
 
 
 def _check_tol(tol: float) -> None:

@@ -32,10 +32,10 @@ _TWO_PI = 2.0 * math.pi
 class UnitaryParams:
     """Strategy parameters (theta, alpha, beta) in radians.
 
-    ``pi_multiples`` is set when the angles are exact rational multiples of
-    pi, which is what lets the extension builder recognize special operators
-    without float comparisons; without them an operator is float, whatever
-    its angles.  theta lies in [0, pi]; alpha and beta are reduced mod 2*pi.
+    ``pi_multiples`` records angles given as rational multiples of pi, for
+    `grid_point` and the JSON spelling; only `grid_point` decides exactness,
+    and without them an operator is float.  theta lies in [0, pi]; alpha and
+    beta are reduced mod 2*pi.
     """
 
     theta: float
@@ -80,10 +80,6 @@ class UnitaryParams:
             if near.grid_point is not None:
                 return near
         return cls(*angles)
-
-    @property
-    def is_exact(self) -> bool:
-        return self.pi_multiples is not None
 
     @property
     def grid_point(self) -> tuple[int, int, int] | None:

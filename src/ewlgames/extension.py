@@ -67,7 +67,7 @@ class ExtensionClass:
 
 @dataclass(frozen=True)
 class ExtendedGame:
-    """A 3x3 extension together with its provenance.
+    """A 3x3 extension with the operator that built it.
 
     ``exact`` is True when every payoff was computed in rational arithmetic;
     float-built extensions carry their payoffs as exact binary rationals but
@@ -75,7 +75,6 @@ class ExtendedGame:
     """
 
     game: BimatrixGame
-    source: BimatrixGame
     params: UnitaryParams
     exact: bool
 
@@ -184,7 +183,6 @@ def build_extension(game: BimatrixGame, params: UnitaryParams) -> ExtendedGame:
     )
     return ExtendedGame(
         game=BimatrixGame(EXT_LABELS, EXT_LABELS, grid),
-        source=game,
         params=params,
         exact=exact,
     )
@@ -216,8 +214,8 @@ def empirical_invariance(game: BimatrixGame, params: UnitaryParams) -> bool:
 def extended_to_json_dict(ext: ExtendedGame) -> dict:
     """Extended game as a JSON-ready dict: the game plus params/class/exact."""
     data = game_to_json_dict(ext.game)
-    p = ext.params
-    angles = map(format_angle, p.pi_multiples) if p.is_exact else (p.theta, p.alpha, p.beta)
+    p, multiples = ext.params, ext.params.pi_multiples
+    angles = (p.theta, p.alpha, p.beta) if multiples is None else map(format_angle, multiples)
     data["params"] = dict(zip(("theta", "alpha", "beta"), angles))
     data["class"] = classify(ext.params).kind.value
     data["exact"] = ext.exact

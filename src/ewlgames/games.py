@@ -161,12 +161,6 @@ class StrategyBijection:
     row_map: tuple[tuple[str, str], ...]
     col_map: tuple[tuple[str, str], ...]
 
-    @property
-    def is_identity(self) -> bool:
-        return self.row_perm == tuple(range(len(self.row_perm))) and self.col_perm == tuple(
-            range(len(self.col_perm))
-        )
-
 
 def _integer_matrix(values: list[list[Fraction]]) -> tuple[list[list[int]], int]:
     """The matrix times the lcm of its denominators, and that lcm."""

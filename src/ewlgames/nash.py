@@ -51,18 +51,6 @@ class MixedProfile:
             if sum(vec) != 1:
                 raise ValueError(f"probabilities {vec} do not sum to 1")
 
-    @property
-    def support1(self) -> tuple[int, ...]:
-        return tuple(i for i, p in enumerate(self.p1) if p > 0)
-
-    @property
-    def support2(self) -> tuple[int, ...]:
-        return tuple(j for j, p in enumerate(self.p2) if p > 0)
-
-    @property
-    def is_pure(self) -> bool:
-        return len(self.support1) == 1 and len(self.support2) == 1
-
 
 @dataclass(frozen=True)
 class EquilibriumReport:
@@ -76,9 +64,6 @@ class EquilibriumReport:
     pure: tuple[tuple[int, int, Payoff], ...]
     mixed: tuple[tuple[MixedProfile, Payoff], ...]
     degenerate: bool
-
-    def __len__(self) -> int:
-        return len(self.pure) + len(self.mixed)
 
 
 def _eliminate(rows: list[list[int]]) -> tuple[list[int], int] | None:

@@ -59,7 +59,6 @@ def build_type_matrix(game: BimatrixGame, kind: InvarianceKind) -> ExtendedGame:
     )
     return ExtendedGame(
         game=BimatrixGame(EXT_LABELS, EXT_LABELS, grid),
-        source=game,
         params=_REPRESENTATIVE[kind],
         exact=True,
     )
@@ -96,7 +95,7 @@ def _trig_values(params: UnitaryParams):
     quarter-pi grid, in particular I, iX and Q, at theta in {0, pi/3, pi/2,
     2pi/3, pi}); otherwise all six are floats.
     """
-    if params.is_exact:
+    if params.pi_multiples is not None:
         t, a, b = params.pi_multiples
         values = (
             _cos_pi(t),

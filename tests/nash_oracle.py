@@ -222,8 +222,10 @@ def support_enumeration(game: BimatrixGame) -> EquilibriumReport:
     pure: list[tuple[int, int, Payoff]] = []
     mixed: list[tuple[MixedProfile, Payoff]] = []
     for profile in equilibria.values():
-        if profile.is_pure:
-            i, j = profile.support1[0], profile.support2[0]
+        support1 = [i for i, p in enumerate(profile.p1) if p > 0]
+        support2 = [j for j, p in enumerate(profile.p2) if p > 0]
+        if len(support1) == 1 and len(support2) == 1:
+            i, j = support1[0], support2[0]
             pure.append((i, j, game.payoff(i, j)))
         else:
             mixed.append((profile, mixed_payoff(game, profile)))

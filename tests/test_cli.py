@@ -498,9 +498,11 @@ def test_unwritable_output_is_input_error(pd_file, tmp_path, capsys, command):
     code, out, err = run(capsys, *argv, "-o", str(out_path))
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("error:")
-    assert "Traceback" not in err
+    assert "Traceback" not in err and ".tmp" not in err
+    assert err == f"error: cannot write {out_path}: No such file or directory\n"
     assert out == ""
     assert not out_path.exists()
+    assert run(capsys, *argv, "-o", str(out_path)) == (code, out, err)
 
 
 def test_failed_replace_leaves_no_temporary_file(pd_file, tmp_path, capsys):
@@ -511,8 +513,16 @@ def test_failed_replace_leaves_no_temporary_file(pd_file, tmp_path, capsys):
     code, _, err = run(capsys, "solve", pd_file, "-o", str(target))
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert ".tmp" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["pd.json", "taken"]
     assert list(target.iterdir()) == []
+    # A second process, with another pid, prints the same error.
+    env = dict(os.environ, PYTHONPATH=str(Path(ewlgames.__file__).parents[1]))
+    child = subprocess.run(
+        [sys.executable, "-m", "ewlgames.cli", "solve", pd_file, "-o", str(target)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (child.returncode, child.stderr) == (code, err)
 
 
 @pytest.mark.parametrize(
@@ -587,6 +597,10 @@ def test_verify_oracle(capsys):
     code, out, _ = run(capsys, "verify-oracle", "--samples", "50", "--seed", "1", "--games", "2")
     assert code == 0
     assert "OK: within 1e-12" in out
+    # At zero tolerance the oracles' rounding differences fail the check.
+    code, out, _ = run(capsys, "verify-oracle", "--samples", "5", "--games", "1", "--tol", "0")
+    assert code == 1
+    assert out.splitlines()[-1] == "FAIL: deviation exceeds 0"
 
 
 def test_reproduce_passes(capsys):

@@ -242,7 +242,7 @@ def test_format_angle_round_trips(value):
 
 def test_params_from_angles_exactness():
     exact = params_from_angles(F(1, 2), F(1, 4), F(0))
-    assert exact.is_exact and exact.theta == math.pi / 2
+    assert exact.pi_multiples is not None and exact.theta == math.pi / 2
     mixed = params_from_angles(F(1, 2), 0.3, F(0))
-    assert not mixed.is_exact
+    assert mixed.pi_multiples is None
     assert abs(mixed.theta - math.pi / 2) < 1e-15 and mixed.alpha == 0.3

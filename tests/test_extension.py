@@ -77,7 +77,6 @@ def test_q_extension_matches_tabulated_matrices(pd, kind, expected):
     assert ext.exact
     assert ext.game.payoffs == expected
     assert ext.game.row_labels == EXT_LABELS and ext.game.col_labels == EXT_LABELS
-    assert ext.source == source
 
 
 def test_extension_rejects_non_2x2():
@@ -192,7 +191,7 @@ def test_classify_float_parameters_snap_to_grid():
     assert within.pi_multiples == (HALF, HALF, HALF)
     assert classify(within).kind is InvarianceKind.TYPE_II
     beyond = UnitaryParams.from_radians(half_pi, half_pi + 1.1e-9, half_pi)
-    assert not beyond.is_exact and beyond.alpha == half_pi + 1.1e-9
+    assert beyond.pi_multiples is None and beyond.alpha == half_pi + 1.1e-9
     assert classify(beyond).kind is InvarianceKind.NON_INVARIANT
     # theta may overshoot pi by the tolerance; phases snap modulo 2*pi.
     flip = UnitaryParams.from_radians(math.pi + 5e-10, -half_pi / 2, 2 * math.pi - 5e-10)
@@ -200,7 +199,7 @@ def test_classify_float_parameters_snap_to_grid():
     with pytest.raises(ValueError, match="outside"):
         UnitaryParams.from_radians(math.pi + 2e-9, 0.0, 0.0)
     # pi/6 is not on the grid where extensions are exact.
-    assert not UnitaryParams.from_radians(math.pi / 6, 0.0, 0.0).is_exact
+    assert UnitaryParams.from_radians(math.pi / 6, 0.0, 0.0).pi_multiples is None
     # k = l = 1: on the lattice, but odd k and l fit no family.
     odd = UnitaryParams.from_radians(half_pi, half_pi, 0.0)
     assert classify(odd) == ExtensionClass(InvarianceKind.NON_INVARIANT)
@@ -349,8 +348,8 @@ def test_from_radians_decides_whether_the_extension_is_exact(pd):
     exact = 0
     for theta, alpha, beta in angles:
         p = UnitaryParams.from_radians(theta, alpha, beta)
-        assert p.is_exact == build_extension(pd, p).exact
-        exact += p.is_exact
+        assert (p.pi_multiples is not None) == build_extension(pd, p).exact
+        exact += p.pi_multiples is not None
     assert 0 < exact < len(angles)
 
 

@@ -320,7 +320,7 @@ def test_equilibrium_exists_on_random_games(shape):
     rng = random.Random(23)
     for _ in range(20):
         report = support_enumeration(random_generic_game(rng, *shape))
-        assert len(report) >= 1
+        assert report.pure or report.mixed
 
 
 def test_singleton_supports_coincide_with_pure():
@@ -393,7 +393,7 @@ def test_reported_equilibria_always_verify(values):
         [[values[0], values[1]], [values[2], values[3]]],
     )
     report = support_enumeration(g)
-    assert len(report) >= 1
+    assert report.pure or report.mixed
     for prof, _ in report.mixed:
         assert verify_equilibrium(g, prof)
 
