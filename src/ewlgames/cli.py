@@ -19,6 +19,7 @@ import warnings
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
+from typing import TYPE_CHECKING
 
 from .ewl import UnitaryParams, parse_angle, params_from_angles
 from .extension import (
@@ -29,7 +30,9 @@ from .extension import (
     outcome_weights,
 )
 from .games import BimatrixGame, find_isomorphism, game_from_json_dict, snapped
-from .nash import EquilibriumReport, report_to_json_dict, support_enumeration
+
+if TYPE_CHECKING:
+    from .nash import EquilibriumReport
 
 EXIT_OK = 0
 EXIT_SUITE_FAILED = 1
@@ -207,6 +210,10 @@ def cmd_solve(args) -> tuple[int, str, str | None]:
                 EXIT_BAD_INPUT,
             )
         game = snapped(game)
+    # A local import, as for selfcheck, so that commands that never solve do
+    # not compile nash.
+    from .nash import report_to_json_dict, support_enumeration
+
     report = support_enumeration(game)
     with _rendering():
         text = _report_text(report, game, exact) + "\n"
@@ -241,8 +248,13 @@ def cmd_isocheck(args) -> tuple[int, str, str | None]:
     return EXIT_OK, "\n".join(lines) + "\n", None
 
 
-def _angle_list(raw: str) -> list[tuple[str, Fraction | float]]:
-    """The non-empty comma-separated tokens of ``raw``, stripped, each with its parsed angle."""
+def _angle_list(raw: str, part) -> list[tuple[str, Fraction | float, tuple | None]]:
+    """The non-empty comma-separated tokens of ``raw``, stripped, each with its parsed angle.
+
+    Each exact angle also carries ``part(angle)``, its reduction by
+    `UnitaryParams.theta_part` or `UnitaryParams.phase_part`.  A float angle,
+    or an exact one that ``part`` rejects, carries None instead.
+    """
     if not isinstance(raw, str):  # argparse reads "--thetas=--" as []
         raise CliError(f"cannot parse angle list {raw!r}", EXIT_BAD_INPUT)
     try:
@@ -251,7 +263,13 @@ def _angle_list(raw: str) -> list[tuple[str, Fraction | float]]:
         raise CliError(str(exc), EXIT_BAD_INPUT) from exc
     if not angles:
         raise CliError(f"angle list {raw!r} holds no angle", EXIT_BAD_INPUT)
-    return angles
+    reduced = []
+    for tok, angle in angles:
+        try:
+            reduced.append((tok, angle, part(angle) if isinstance(angle, Fraction) else None))
+        except ValueError:
+            reduced.append((tok, angle, None))
+    return reduced
 
 
 def _sweep_row(game: BimatrixGame, params: UnitaryParams, allow_float_solve: bool) -> list[str]:
@@ -263,6 +281,8 @@ def _sweep_row(game: BimatrixGame, params: UnitaryParams, allow_float_solve: boo
     kind = classify(params).kind.value
     if not (ext.exact or allow_float_solve):
         return [kind, "", "", "", ""]
+    from .nash import support_enumeration
+
     report = support_enumeration(ext.game if ext.exact else snapped(ext.game))
     first = None
     if report.pure:
@@ -278,8 +298,10 @@ def cmd_sweep(args) -> tuple[int, str, str | None]:
     game, _ = _load_game(args.game)
     if game.shape != (2, 2):
         raise CliError(f"sweep needs a 2x2 game, got {game.shape}", EXIT_DOMAIN)
-    # Every token is parsed before any point is solved.
-    thetas, alphas, betas = [_angle_list(raw) for raw in (args.thetas, args.alphas, args.betas)]
+    # Every token is parsed, and every exact one reduced, before any point is
+    # solved.
+    thetas = _angle_list(args.thetas, UnitaryParams.theta_part)
+    alphas, betas = [_angle_list(raw, UnitaryParams.phase_part) for raw in (args.alphas, args.betas)]
 
     # The whole CSV is built in memory, so a failure at any point leaves no
     # partial output behind.
@@ -291,11 +313,15 @@ def cmd_sweep(args) -> tuple[int, str, str | None]:
     # holds `exact` too, because int and float tables can compare equal.
     # The memo belongs to this call, so it never outgrows one sweep.
     rows: dict[tuple, list[str]] = {}
-    for (t_tok, theta), (a_tok, alpha), (b_tok, beta) in product(thetas, alphas, betas):
-        try:
-            params = params_from_angles(theta, alpha, beta)
-        except ValueError as exc:
-            raise CliError(str(exc), EXIT_DOMAIN) from exc
+    for (t_tok, theta, t), (a_tok, alpha, a), (b_tok, beta, b) in product(thetas, alphas, betas):
+        if t and a and b:
+            params = UnitaryParams.from_parts(t, a, b)
+        else:
+            # A float angle, or a theta out of range, which this reports.
+            try:
+                params = params_from_angles(theta, alpha, beta)
+            except ValueError as exc:
+                raise CliError(str(exc), EXIT_DOMAIN) from exc
         key = outcome_weights(params)
         row = rows.get(key)
         if row is None:

@@ -45,18 +45,32 @@ class UnitaryParams:
 
     @classmethod
     def exact_pi(cls, theta, alpha, beta) -> "UnitaryParams":
-        """Build from rational multiples of pi, e.g. exact_pi(0, Fraction(1, 2), 0)."""
-        t, a, b = Fraction(theta), Fraction(alpha), Fraction(beta)
+        """Build from rational multiples of pi, e.g. exact_pi(0, Fraction(1, 2), 0).
+
+        This is two reductions, `theta_part` of theta and `phase_part` of
+        alpha and beta, put together by `from_parts`; a sweep reduces each
+        token once and builds every point from the parts.
+        """
+        return cls.from_parts(cls.theta_part(theta), cls.phase_part(alpha), cls.phase_part(beta))
+
+    @classmethod
+    def from_parts(cls, theta, alpha, beta) -> "UnitaryParams":
+        """The operator of three reduced parts: one `theta_part` and two `phase_part`."""
+        return cls(theta[1], alpha[1], beta[1], (theta[0], alpha[0], beta[0]))
+
+    @staticmethod
+    def theta_part(theta) -> tuple[Fraction, float]:
+        """theta, a multiple of pi, checked against [0, 1], with its radians."""
+        t = Fraction(theta)
         if not 0 <= t <= 1:
             raise ValueError(f"theta = {t}*pi outside [0, pi]")
-        a %= 2
-        b %= 2
-        return cls(
-            theta=float(t) * math.pi,
-            alpha=float(a) * math.pi,
-            beta=float(b) * math.pi,
-            pi_multiples=(t, a, b),
-        )
+        return t, float(t) * math.pi
+
+    @staticmethod
+    def phase_part(angle) -> tuple[Fraction, float]:
+        """alpha or beta, a multiple of pi, reduced mod 2, with its radians."""
+        a = Fraction(angle) % 2
+        return a, float(a) * math.pi
 
     @classmethod
     def from_radians(cls, theta: float, alpha: float, beta: float) -> "UnitaryParams":

@@ -14,10 +14,12 @@ uniqueness proof by exhaustion.
 
 The enumeration runs in integers.  Each player's payoffs are multiplied by
 the lcm of their denominators and shifted, which leaves every equilibrium
-unchanged.  Every vertex is the solution of one square system, solved by
-fraction-free Gauss-Jordan elimination as integer numerators over one
-positive denominator, and the feasibility and label checks compare
-integers.  `Fraction` appears only in the report.
+unchanged.  Every vertex solves one square system by Cramer's rule,
+``x_i = +-M(K, S with i replaced by the ones) / M(K, S)`` in lowest terms
+over a positive denominator.  Each k x k minor M of ``[C | 1]`` (rows: the
+opponent's kept strategies; columns: the player's own, then ones) is built
+once, as k products of smaller minors by Laplace expansion along its last
+row.  The checks compare integers; `Fraction` appears only in the report.
 
 In a degenerate game two extreme equilibria share one player's mixture, so
 the segment between them is in equilibrium too; the report then lists the
@@ -28,8 +30,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 from .games import BimatrixGame, Payoff, _integer_matrix
@@ -64,47 +67,6 @@ class EquilibriumReport:
     pure: tuple[tuple[int, int, Payoff], ...]
     mixed: tuple[tuple[MixedProfile, Payoff], ...]
     degenerate: bool
-
-
-def _eliminate(rows: list[list[int]]) -> tuple[list[int], int] | None:
-    """Fraction-free Gauss-Jordan elimination of a square integer system.
-
-    ``rows`` are the augmented rows ``[a_0, ..., a_{n-1}, b]`` of ``a . x = b``
-    over ``n = len(rows)`` unknowns; the caller's lists are not modified.
-    Each pivot row is combined into every other row by cross-multiplication,
-    ``row * pivot - row[col] * pivot_row``, and the new row is divided by
-    the gcd of its entries, so every entry stays an integer and every row
-    stays primitive.  Bareiss (Math. Comp. 22 (1968) 565) divides by the
-    previous pivot instead, to the same end.
-
-    Returns None if the matrix is singular.  Otherwise returns
-    ``(numerators, denominator)``: the unique solution in lowest terms, over
-    a positive denominator.
-    """
-    rows = list(rows)
-    n = len(rows)
-    for col in range(n):
-        for r in range(col, n):
-            if rows[r][col]:
-                break
-        else:
-            return None
-        prow = rows[r]
-        rows[r] = rows[col]
-        rows[col] = prow
-        p = prow[col]
-        for r, row in enumerate(rows):
-            f = row[col]
-            if f and r != col:
-                new = [v * p - f * w for v, w in zip(row, prow)]
-                g = gcd(*new)
-                rows[r] = [v // g for v in new] if g > 1 else new
-    # Row r now reads rows[r][r] * x_r = rows[r][n]; bring every pivot to one
-    # positive denominator.
-    den = lcm(*(row[r] for r, row in enumerate(rows)))
-    nums = [row[n] * (den // row[r]) for r, row in enumerate(rows)]
-    g = gcd(den, *nums)
-    return ([v // g for v in nums], den // g) if g > 1 else (nums, den)
 
 
 def pure_equilibria(game: BimatrixGame) -> list[tuple[int, int, Payoff]]:
@@ -202,6 +164,30 @@ def _dominated(payoffs: list[list[int]], own: int, mine: list[int], theirs: list
     return any(all(payoffs[k][t] > row[t] for t in theirs) for k in mine)
 
 
+@lru_cache(maxsize=64)
+def _cramer_plan(n_rows: int, n_cols: int) -> list[tuple[list, list, list]]:
+    """Per size k, the row sets, column sets and supports of `_vertices`, as bitmasks.
+
+    Column ``n_cols`` is the ones.  A column set carries its Laplace terms
+    along the last row, a support its Cramer columns with the ones at
+    position j.  Both sign position j by (-1)^(k - 1 + j), which for Cramer
+    is the parity of the k - 1 - j swaps that move the ones to the end.
+    """
+    plan = []
+    for k in range(1, min(n_rows, n_cols) + 1):
+        expansion, supports = [], []
+        for cols in combinations(range(n_cols + 1), k):
+            mask = sum(1 << c for c in cols)
+            terms = [(c, 1 << c, (-1) ** (k - 1 + j)) for j, c in enumerate(cols)]
+            expansion.append((mask, terms))
+            if n_cols not in cols:
+                cramer = [(mask ^ bit | 1 << n_cols, sign) for _, bit, sign in terms]
+                supports.append((cols, mask, cramer))
+        row_sets = [sum(1 << r for r in rows) for rows in combinations(range(n_rows), k)]
+        plan.append((row_sets, expansion, supports))
+    return plan
+
+
 def _vertices(
     constraints: list[list[int]], size: int, own: list[int], opponent: list[int]
 ) -> dict[_Vertex, tuple[int, int]]:
@@ -213,23 +199,37 @@ def _vertices(
     ``own``, and the other constraints are dropped.  Every vertex is the
     unique solution of ``c . x = 1`` over some set K of constraints with x
     zero off some support S of the same size, so every such pair (S, K) is
-    tried.  The labels are read off the vertex itself, not off (S, K): the
-    first mask has bit i set where x_i = 0, the second bit k where
-    constraint k is tight, that is where strategy k is the opponent's best
-    response.  A dropped constraint is never tight.
+    solved, by Cramer's rule.  The labels are read off the vertex: the first
+    mask has bit i set where x_i = 0, the second bit k where constraint k is
+    tight, that is where k is the opponent's best response.  A dropped
+    constraint is never tight.
     """
     vertices: dict[_Vertex, tuple[int, int]] = {}
     kept = [constraints[k] for k in opponent]
-    for k in range(1, min(len(own), len(kept)) + 1):
-        for support in combinations(own, k):
-            for tight in combinations(kept, k):
-                solved = _eliminate([[c[i] for i in support] + [1] for c in tight])
-                if solved is None or min(solved[0]) < 0:
+    matrix = [[c[i] for i in own] + [1] for c in kept]
+    # minors[R][C]: the minor on the rows in R and the columns in C.
+    minors = {0: {0: 1}}
+    for row_sets, expansion, supports in _cramer_plan(len(kept), len(own)):
+        for rows in row_sets:
+            last = rows.bit_length() - 1
+            entries, smaller = matrix[last], minors[rows ^ 1 << last]
+            minors[rows] = {
+                cols: sum(sign * entries[c] * smaller[cols ^ bit] for c, bit, sign in terms)
+                for cols, terms in expansion
+            }
+        for support, cols, cramer in supports:
+            for rows in row_sets:
+                table = minors[rows]
+                if not (den := table[cols]):
                     continue
-                nums, den = solved
+                nums = [sign * table[c] for c, sign in cramer]
+                g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)  # so den // g > 0
+                den, nums = den // g, [v // g for v in nums]
+                if min(nums) < 0:
+                    continue
                 x = [0] * size
                 for i, v in zip(support, nums):
-                    x[i] = v
+                    x[own[i]] = v
                 slack = [den - sum(map(mul, c, x)) for c in kept]
                 if min(slack) < 0:
                     continue

@@ -9,12 +9,20 @@ The profile checker below, `mixed_payoff` and `verify_equilibrium` with
 their per-player value scans, is the one `ewlgames.nash` used before it
 computed every pure strategy's value in one pass; it is the oracle for that
 pass.
+
+`eliminate` and `vertices` at the end are the vertex enumeration
+`ewlgames.nash` ran before it solved each system by Cramer's rule over a
+table of minors: one fraction-free Gauss-Jordan elimination per system.
+They are the oracle for `nash._vertices`, which must return exactly their
+dict of vertices and labels.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
+from operator import mul
 
 from ewlgames import BimatrixGame, EquilibriumReport, MixedProfile
 from ewlgames.games import Payoff
@@ -232,3 +240,84 @@ def support_enumeration(game: BimatrixGame) -> EquilibriumReport:
     pure.sort(key=lambda e: (e[0], e[1]))
     mixed.sort(key=lambda e: (e[0].p1, e[0].p2))
     return EquilibriumReport(tuple(pure), tuple(mixed), degenerate)
+
+
+# --- the integer-elimination vertex oracle -----------------------------------
+
+
+def eliminate(rows: list[list[int]]) -> tuple[list[int], int] | None:
+    """Fraction-free Gauss-Jordan elimination of a square integer system.
+
+    ``rows`` are the augmented rows ``[a_0, ..., a_{n-1}, b]`` of ``a . x = b``
+    over ``n = len(rows)`` unknowns; the caller's lists are not modified.
+    Each pivot row is combined into every other row by cross-multiplication,
+    ``row * pivot - row[col] * pivot_row``, and the new row is divided by
+    the gcd of its entries, so every entry stays an integer and every row
+    stays primitive.  Bareiss (Math. Comp. 22 (1968) 565) divides by the
+    previous pivot instead, to the same end.
+
+    Returns None if the matrix is singular.  Otherwise returns
+    ``(numerators, denominator)``: the unique solution in lowest terms, over
+    a positive denominator.
+    """
+    rows = list(rows)
+    n = len(rows)
+    for col in range(n):
+        for r in range(col, n):
+            if rows[r][col]:
+                break
+        else:
+            return None
+        prow = rows[r]
+        rows[r] = rows[col]
+        rows[col] = prow
+        p = prow[col]
+        for r, row in enumerate(rows):
+            f = row[col]
+            if f and r != col:
+                new = [v * p - f * w for v, w in zip(row, prow)]
+                g = gcd(*new)
+                rows[r] = [v // g for v in new] if g > 1 else new
+    # Row r now reads rows[r][r] * x_r = rows[r][n]; bring every pivot to one
+    # positive denominator.
+    den = lcm(*(row[r] for r, row in enumerate(rows)))
+    nums = [row[n] * (den // row[r]) for r, row in enumerate(rows)]
+    g = gcd(den, *nums)
+    return ([v // g for v in nums], den // g) if g > 1 else (nums, den)
+
+
+def vertices(
+    constraints: list[list[int]], size: int, own: list[int], opponent: list[int]
+) -> dict[tuple[tuple[int, ...], int], tuple[int, int]]:
+    """The nonzero vertices of ``{x >= 0 : c . x <= 1 for c in constraints}``, with labels.
+
+    ``constraints[k][i]`` is the opponent's positive payoff for its pure
+    strategy k when this player plays i.  Only the strategies ``own`` of
+    this player and ``opponent`` of the opponent take part: x is zero off
+    ``own``, and the other constraints are dropped.  Every vertex is the
+    unique solution of ``c . x = 1`` over some set K of constraints with x
+    zero off some support S of the same size, so every such pair (S, K) is
+    tried.  The labels are read off the vertex itself, not off (S, K): the
+    first mask has bit i set where x_i = 0, the second bit k where
+    constraint k is tight, that is where strategy k is the opponent's best
+    response.  A dropped constraint is never tight.
+    """
+    vertices: dict[tuple[tuple[int, ...], int], tuple[int, int]] = {}
+    kept = [constraints[k] for k in opponent]
+    for k in range(1, min(len(own), len(kept)) + 1):
+        for support in combinations(own, k):
+            for tight in combinations(kept, k):
+                solved = eliminate([[c[i] for i in support] + [1] for c in tight])
+                if solved is None or min(solved[0]) < 0:
+                    continue
+                nums, den = solved
+                x = [0] * size
+                for i, v in zip(support, nums):
+                    x[i] = v
+                slack = [den - sum(map(mul, c, x)) for c in kept]
+                if min(slack) < 0:
+                    continue
+                best = sum(1 << j for j, s in zip(opponent, slack) if s == 0)
+                unplayed = sum(1 << i for i, v in enumerate(x) if v == 0)
+                vertices[tuple(x), den] = (unplayed, best)
+    return vertices

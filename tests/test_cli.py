@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ewlgames
-from ewlgames import cli
+from ewlgames import cli, nash
 from ewlgames.cli import main
 
 PD_JSON = {
@@ -407,12 +408,15 @@ def test_reproduce_json_is_unchanged(capsys):
 
 def counting_solver(monkeypatch):
     calls = []
+    solve_exactly = nash.support_enumeration
 
     def solve(game):
         calls.append(game.payoffs)
-        return ewlgames.support_enumeration(game)
+        return solve_exactly(game)
 
-    monkeypatch.setattr(cli, "support_enumeration", solve)
+    # The CLI imports the solver when a command first solves, so it reads
+    # the module attribute.
+    monkeypatch.setattr(nash, "support_enumeration", solve)
     return calls
 
 
@@ -481,6 +485,45 @@ def test_failed_sweep_leaves_no_output(pd_file, tmp_path, capsys, thetas, code):
     assert got == code and out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert not out_path.exists()
+
+
+def test_sweep_operators_equal_pointwise_operators(pd_file, capsys, monkeypatch):
+    # Exact tokens outside their reduced range, near-grid floats that snap
+    # onto the grid, and plain floats.
+    thetas = ["0", "1/3pi", "1/2pi", "pi", "1.5707963272", "0.8"]
+    phases = ["-pi", "9/4pi", "2pi", "-1/4pi", "1/3pi", "0.7853981634", "1.1"]
+    built = []
+
+    def weights(params):
+        built.append(params)
+        return ewlgames.outcome_weights(params)
+
+    monkeypatch.setattr(cli, "outcome_weights", weights)
+    code, out, _ = run(capsys, "sweep", pd_file, "--thetas", ",".join(thetas),
+                       "--alphas=" + ",".join(phases), "--betas=" + ",".join(phases))
+    assert code == 0
+    pointwise = [
+        ewlgames.params_from_angles(*map(ewlgames.parse_angle, point))
+        for point in itertools.product(thetas, phases, phases)
+    ]
+    assert built == pointwise
+    assert len(out.splitlines()) == 1 + len(pointwise)
+
+
+@pytest.mark.parametrize(
+    "alphas, message",
+    [
+        ("0", "theta = 2*pi outside [0, pi]"),
+        # A float angle takes the pointwise route, which checks theta in radians.
+        ("0.3,0", "theta = 6.283185307179586 outside [0, pi]"),
+    ],
+    ids=["exact", "float-alpha"],
+)
+def test_sweep_theta_out_of_range_message(pd_file, capsys, alphas, message):
+    code, out, err = run(capsys, "sweep", pd_file, "--thetas", "1/2pi,2pi", "--alphas", alphas,
+                         "--betas", "0")
+    assert code == 3 and out == ""
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -701,6 +744,11 @@ def test_cli_import_loads_no_numpy():
 def test_cli_import_loads_no_selfcheck():
     # Only verify-oracle and reproduce need the reference suite.
     assert _loaded_by_cli_import("ewlgames.selfcheck") == "False"
+
+
+def test_cli_import_loads_no_solver():
+    # Only solve and sweep need the Nash solver.
+    assert _loaded_by_cli_import("ewlgames.nash") == "False"
 
 
 # --- fuzzing: any angle string or JSON document ends in a clean exit -----------

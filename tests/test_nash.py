@@ -21,6 +21,7 @@ from ewlgames import (
     support_enumeration,
     verify_equilibrium,
 )
+from ewlgames.games import _integer_matrix
 
 # The four 3x3 games obtained by extending the dilemma's presentations with
 # the Q operator, in tabulated form, plus the crossed-average family matrix.
@@ -48,18 +49,18 @@ def profile(p1, p2):
 HALF_SUPPORT = profile((F(1, 2), 0, F(1, 2)), (F(1, 2), 0, F(1, 2)))
 
 
-# --- linear solver ---------------------------------------------------------
+# --- the integer-elimination oracle's linear solver ----------------------------
 
 
 def eliminate(rows, rhs):
-    """Solve a square rational system with `nash._eliminate`, after scaling it to integers.
+    """Solve a square rational system with `nash_oracle.eliminate`, after scaling it to integers.
 
-    Asserts that `_eliminate` returns the `Fraction` oracle's solution, in
+    Asserts that `eliminate` returns the `Fraction` oracle's solution, in
     lowest terms, when that solution is unique, and None when the system is
-    singular.  Returns the oracle's answer, (particular, nullspace).
+    singular.  Returns the `Fraction` oracle's answer, (particular, nullspace).
     """
-    int_rows, _ = nash._integer_matrix([[*row, r] for row, r in zip(rows, rhs)])
-    solved = nash._eliminate(int_rows)
+    int_rows, _ = _integer_matrix([[*row, r] for row, r in zip(rows, rhs)])
+    solved = nash_oracle.eliminate(int_rows)
     expected = nash_oracle.solve_rational_system(rows, rhs)
     if expected[0] is None or expected[1]:
         assert solved is None
@@ -73,11 +74,11 @@ def eliminate(rows, rhs):
 def test_solver_unique_solution():
     sol, null = eliminate([[F(2), F(1)], [F(1), F(-1)]], [F(4), F(-1)])
     assert sol == [F(1), F(2)] and null == []
-    assert nash._eliminate([[2, 1, 4], [1, -1, -1]]) == ([1, 2], 1)
+    assert nash_oracle.eliminate([[2, 1, 4], [1, -1, -1]]) == ([1, 2], 1)
     # No row is combined into another here, so each keeps its common factor
     # until the final reduction to lowest terms: 2x = 4, then 4x = 2 and 6y = 3.
-    assert nash._eliminate([[2, 4]]) == ([2], 1)
-    assert nash._eliminate([[4, 0, 2], [0, 6, 3]]) == ([1, 1], 2)
+    assert nash_oracle.eliminate([[2, 4]]) == ([2], 1)
+    assert nash_oracle.eliminate([[4, 0, 2], [0, 6, 3]]) == ([1, 1], 2)
 
 
 def test_solver_inconsistent():
@@ -89,7 +90,7 @@ def test_solver_underdetermined_nullspace():
     # Consistent but singular: a whole line of solutions, so no vertex.
     sol, null = eliminate([[F(1), F(1)], [F(2), F(2)]], [F(1), F(2)])
     assert sol is not None and len(null) == 1
-    assert nash._eliminate([[1, 1, 1], [2, 2, 2]]) is None
+    assert nash_oracle.eliminate([[1, 1, 1], [2, 2, 2]]) is None
 
 
 @pytest.mark.parametrize(
@@ -506,3 +507,49 @@ def test_positive_scaling_leaves_equilibria_unchanged(player):
         assert [p[:2] for p in base.pure] == [p[:2] for p in moved.pure]
         assert [m[0] for m in base.mixed] == [m[0] for m in moved.mixed]
         assert base.degenerate == moved.degenerate
+
+
+# --- Cramer's rule over the minor table against the elimination oracle ---------
+
+
+def assert_vertices_match_oracle(game):
+    """Both players' `_vertices` equal the elimination oracle's, dict for dict.
+
+    Each player's polytope is checked on the strategies that survive strict
+    dominance, as the solver sees it, and on every strategy.
+    """
+    n, m = game.shape
+    a_by_row, _, _ = nash._positive_matrix(
+        [[game.payoff(i, j)[0] for j in range(m)] for i in range(n)]
+    )
+    b_by_col, _, _ = nash._positive_matrix(
+        [[game.payoff(i, j)[1] for i in range(n)] for j in range(m)]
+    )
+    for rows, cols in (nash._undominated(a_by_row, b_by_col), (list(range(n)), list(range(m)))):
+        for args in ((b_by_col, n, rows, cols), (a_by_row, m, cols, rows)):
+            assert nash._vertices(*args) == nash_oracle.vertices(*args)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_vertices_match_elimination_oracle(data):
+    n, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    payoffs = data.draw(st.sampled_from([tie_heavy_payoffs, rational_payoffs]))
+    values = data.draw(st.lists(st.tuples(payoffs, payoffs), min_size=n * m, max_size=n * m))
+    assert_vertices_match_oracle(grid_game(values, n, m))
+
+
+def test_vertices_match_elimination_oracle_on_tie_heavy_pool():
+    for g in tie_heavy_games(5, 200):
+        assert_vertices_match_oracle(g)
+
+
+def test_vertices_match_elimination_oracle_on_snapped_extensions():
+    rng = random.Random(73)
+    for _ in range(40):
+        params = UnitaryParams.from_radians(
+            rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi)
+        )
+        ext = build_extension(random_generic_game(rng), params)
+        assert not ext.exact
+        assert_vertices_match_oracle(snapped(ext.game))
