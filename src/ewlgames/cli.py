@@ -9,9 +9,7 @@ float-built game without opting in).
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import math
 import os
 import sys
@@ -47,6 +45,10 @@ class CliError(Exception):
 
 
 def _load_json(path: str) -> dict:
+    # json, and csv in cmd_sweep, are imported where they run, so that
+    # commands that read or write neither do not load them.
+    import json
+
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
@@ -70,24 +72,36 @@ def _rendering():
 
 
 def _json_text(data: dict) -> str:
+    import json
+
     return json.dumps(data, indent=2) + "\n"
 
 
 def _write_output(path: str, text: str) -> None:
     """Write ``text`` to ``path`` whole or not at all.
 
-    The text goes to a temporary file beside ``path``, which replaces
-    ``path`` only once it is complete.  On any failure the temporary file is
-    removed, and a file that was already at ``path`` is left as it was.  The
-    error names ``path`` and the OS reason, never the temporary file.
+    Symlinks in ``path`` are resolved first, so a symlink stays a symlink
+    and its target gets the text.  The text goes to a temporary file beside
+    that target, which replaces it only once it is complete.  On any failure
+    the temporary file is removed, and a file that was already there is left
+    as it was.  A target that exists and is not a regular file or a
+    directory, such as a FIFO or a device, cannot be replaced, so the text is
+    written into it directly.  The error names ``path`` and the OS reason,
+    never the temporary file.
     """
-    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    target = os.path.realpath(path)
     try:
+        if os.path.exists(target) and not (os.path.isfile(target) or os.path.isdir(target)):
+            with open(target, "w", newline="", encoding="utf-8") as handle:
+                handle.write(text)
+            return
+        folder, name = os.path.split(target)
+        tmp = os.path.join(folder, f".{name}.{os.getpid()}.tmp")
         handle = open(tmp, "x", newline="", encoding="utf-8")
         try:
             with handle:
                 handle.write(text)
-            os.replace(tmp, path)
+            os.replace(tmp, target)
         except BaseException:
             os.unlink(tmp)
             raise
@@ -302,6 +316,8 @@ def cmd_sweep(args) -> tuple[int, str, str | None]:
     # solved.
     thetas = _angle_list(args.thetas, UnitaryParams.theta_part)
     alphas, betas = [_angle_list(raw, UnitaryParams.phase_part) for raw in (args.alphas, args.betas)]
+
+    import csv
 
     # The whole CSV is built in memory, so a failure at any point leaves no
     # partial output behind.

@@ -9,7 +9,7 @@ acting on the maximally entangled state J|00>, with J = (I(x)I + i X(x)X)/sqrt(2
 Payoffs are expectations of diagonal observables in the final state
 J^dag (U1 (x) U2) J |00>.  The module carries two independent payoff routes:
 the statevector pipeline and a closed-form trigonometric formula, each
-serving as an oracle for the other.
+serving as an oracle for the other.  Records are immutable named tuples.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .games import BimatrixGame
 
@@ -28,8 +28,7 @@ FLOAT_TOL = 1e-9
 _TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class UnitaryParams:
+class UnitaryParams(NamedTuple):
     """Strategy parameters (theta, alpha, beta) in radians.
 
     ``pi_multiples`` records angles given as rational multiples of pi, for
@@ -196,8 +195,7 @@ def final_state(p1: UnitaryParams, p2: UnitaryParams) -> tuple[complex, ...]:
     return tuple((v[k] - 1j * v[3 - k]) / _SQRT2 for k in range(4))
 
 
-@dataclass(frozen=True)
-class MeasurementPair:
+class MeasurementPair(NamedTuple):
     """Diagonal payoff observables for the two players.
 
     Weights are ordered like the state basis |00>,|01>,|10>,|11> and are the

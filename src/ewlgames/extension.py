@@ -17,16 +17,17 @@ in the input payoffs:
 Any other operator produces extensions that depend on how the classical
 game is written down; `empirical_invariance` demonstrates this directly by
 extending all relabeled presentations and searching for isomorphisms.
+Records are immutable named tuples.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from operator import mul
+from typing import NamedTuple
 
 from .ewl import UnitaryParams, format_angle
 from .games import (
@@ -49,8 +50,7 @@ class InvarianceKind(Enum):
     NON_INVARIANT = "NonInvariant"
 
 
-@dataclass(frozen=True)
-class ExtensionClass:
+class ExtensionClass(NamedTuple):
     """Invariance family of an operator, with the grid witness when invariant.
 
     ``witness`` holds the integers (k, l) with alpha - beta = k*pi/2 and
@@ -65,8 +65,7 @@ class ExtensionClass:
         return self.kind is not InvarianceKind.NON_INVARIANT
 
 
-@dataclass(frozen=True)
-class ExtendedGame:
+class ExtendedGame(NamedTuple):
     """A 3x3 extension with the operator that built it.
 
     ``exact`` is True when every payoff was computed in rational arithmetic;

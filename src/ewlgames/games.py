@@ -3,7 +3,7 @@ strong-isomorphism search.
 
 Payoffs are `fractions.Fraction` end to end, and nothing here computes in
 floats: an isomorphism search reads a float tolerance as its exact binary
-value and compares integers.
+value and compares integers.  Records are immutable named tuples.
 """
 
 from __future__ import annotations
@@ -11,11 +11,10 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import permutations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 Payoff = tuple[Fraction, Fraction]
 
@@ -65,30 +64,34 @@ class VariantKind(Enum):
     ROW_COL_SWAP = "rows+columns"
 
 
-@dataclass(frozen=True)
-class BimatrixGame:
+class _GameFields(NamedTuple):
+    row_labels: tuple[str, ...]
+    col_labels: tuple[str, ...]
+    payoffs: tuple[tuple[Payoff, ...], ...]
+
+
+class BimatrixGame(_GameFields):
     """A two-player strategic-form game as a row-major grid of payoff pairs.
 
     Rows belong to player 1, columns to player 2; ``payoffs[i][j]`` is the
     pair (player 1's payoff, player 2's payoff) at that position.
     """
 
-    row_labels: tuple[str, ...]
-    col_labels: tuple[str, ...]
-    payoffs: tuple[tuple[Payoff, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.row_labels or not self.col_labels:
+    def __new__(cls, row_labels, col_labels, payoffs):
+        if not row_labels or not col_labels:
             raise ValueError("games need at least one strategy per player")
-        if len(set(self.row_labels)) != len(self.row_labels):
-            raise ValueError(f"duplicate row label in {self.row_labels!r}")
-        if len(set(self.col_labels)) != len(self.col_labels):
-            raise ValueError(f"duplicate column label in {self.col_labels!r}")
-        if len(self.payoffs) != len(self.row_labels):
+        if len(set(row_labels)) != len(row_labels):
+            raise ValueError(f"duplicate row label in {row_labels!r}")
+        if len(set(col_labels)) != len(col_labels):
+            raise ValueError(f"duplicate column label in {col_labels!r}")
+        if len(payoffs) != len(row_labels):
             raise ValueError("payoff grid does not match the number of row labels")
-        for row in self.payoffs:
-            if len(row) != len(self.col_labels):
+        for row in payoffs:
+            if len(row) != len(col_labels):
                 raise ValueError("payoff grid does not match the number of column labels")
+        return super().__new__(cls, row_labels, col_labels, payoffs)
 
     @property
     def n_rows(self) -> int:
@@ -147,8 +150,7 @@ def variant(game: BimatrixGame, kind: VariantKind) -> BimatrixGame:
     return BimatrixGame(rows, cols, grid)
 
 
-@dataclass(frozen=True)
-class StrategyBijection:
+class StrategyBijection(NamedTuple):
     """A pair of strategy bijections witnessing a strong isomorphism.
 
     ``row_perm[i]`` is the row of the target game that row ``i`` of the

@@ -23,40 +23,44 @@ row.  The checks compare integers; `Fraction` appears only in the report.
 
 In a degenerate game two extreme equilibria share one player's mixture, so
 the segment between them is in equilibrium too; the report then lists the
-extreme equilibria and sets ``degenerate``.
+extreme equilibria and sets ``degenerate``.  Profiles and reports are
+immutable named tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd
 from operator import mul
+from typing import NamedTuple
 
 from .games import BimatrixGame, Payoff, _integer_matrix
 
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class MixedProfile:
-    """A pair of probability vectors, one per player."""
-
+class _ProfileFields(NamedTuple):
     p1: tuple[Fraction, ...]
     p2: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        for vec in (self.p1, self.p2):
+
+class MixedProfile(_ProfileFields):
+    """A pair of probability vectors, one per player."""
+
+    __slots__ = ()
+
+    def __new__(cls, p1, p2):
+        for vec in (p1, p2):
             if any(p < 0 for p in vec):
                 raise ValueError(f"negative probability in {vec}")
             if sum(vec) != 1:
                 raise ValueError(f"probabilities {vec} do not sum to 1")
+        return super().__new__(cls, p1, p2)
 
 
-@dataclass(frozen=True)
-class EquilibriumReport:
+class EquilibriumReport(NamedTuple):
     """All equilibria found, split into pure positions and mixed profiles.
 
     The lists hold every extreme equilibrium; a pure one appears only in
@@ -248,7 +252,8 @@ def support_enumeration(game: BimatrixGame) -> EquilibriumReport:
     strategies are removed first; the number of systems grows with the
     number of support pairs among the rest, at most 19 per player on 3x3.
     Each player's payoffs are scaled to integers and every system is solved
-    by fraction-free elimination; `Fraction` appears only in the report.
+    by Cramer's rule over one shared table of minors; `Fraction` appears
+    only in the report.
     """
     n, m = game.shape
     # A positive scaling or a shift of one player's payoffs leaves every best

@@ -5,15 +5,15 @@ relabeled presentations, their one-unitary extensions and equilibria, the
 invariant-operator census, the agreement of the two payoff routes) and
 compares it against frozen expected values.  Run against a modified game
 file the affected claims fail loudly, which makes the suite usable as a
-negative control.
+negative control.  Each claim is an immutable named tuple.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .ewl import (
     MeasurementPair,
@@ -41,8 +41,7 @@ SEED = 20240901  # of the suite's random dilemmas and oracle samples
 CANONICAL_PD = make_game(("C", "D"), ("C", "D"), [[(3, 3), (0, 5)], [(5, 0), (1, 1)]])
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     name: str
     ok: bool
     expected: str

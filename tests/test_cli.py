@@ -6,8 +6,10 @@ import io
 import itertools
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -568,6 +570,42 @@ def test_failed_replace_leaves_no_temporary_file(pd_file, tmp_path, capsys):
     assert (child.returncode, child.stderr) == (code, err)
 
 
+def test_output_through_a_symlink_writes_its_target(pd_file, tmp_path, capsys):
+    expected = tmp_path / "expected.json"
+    assert run(capsys, "solve", pd_file, "-o", str(expected))[0] == 0
+    (tmp_path / "real").mkdir()
+    target = tmp_path / "real" / "report.json"
+    target.write_text("old")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    code, _, err = run(capsys, "solve", pd_file, "-o", str(link))
+    assert (code, err) == (0, "")
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_text() == expected.read_text()
+    # The temporary file was beside the target, and is gone.
+    names = ["expected.json", "link.json", "pd.json", "real"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    assert [p.name for p in target.parent.iterdir()] == ["report.json"]
+
+
+def test_output_into_a_fifo_keeps_the_fifo(pd_file, tmp_path, capsys):
+    expected = tmp_path / "expected.json"
+    assert run(capsys, "solve", pd_file, "-o", str(expected))[0] == 0
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    # The reader's open waits for a writer; a FIFO replaced by a regular
+    # file never gets one, and the join below times out.
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+    reader.start()
+    code, _, err = run(capsys, "solve", pd_file, "-o", str(fifo))
+    reader.join(timeout=30)
+    assert (code, err) == (0, "")
+    assert not reader.is_alive()
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert received == [expected.read_text()]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -749,6 +787,13 @@ def test_cli_import_loads_no_selfcheck():
 def test_cli_import_loads_no_solver():
     # Only solve and sweep need the Nash solver.
     assert _loaded_by_cli_import("ewlgames.nash") == "False"
+
+
+@pytest.mark.parametrize("module", ["dataclasses", "inspect", "json", "csv"])
+def test_cli_import_loads_no_module_a_command_may_not_need(module):
+    # Records are named tuples, so nothing imports dataclasses, nor the
+    # inspect it brings; json and csv are imported by the commands that use them.
+    assert _loaded_by_cli_import(module) == "False"
 
 
 # --- fuzzing: any angle string or JSON document ends in a clean exit -----------
