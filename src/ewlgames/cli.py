@@ -12,6 +12,7 @@ import argparse
 import io
 import math
 import os
+import stat
 import sys
 import warnings
 from contextlib import contextmanager
@@ -82,16 +83,21 @@ def _write_output(path: str, text: str) -> None:
 
     Symlinks in ``path`` are resolved first, so a symlink stays a symlink
     and its target gets the text.  The text goes to a temporary file beside
-    that target, which replaces it only once it is complete.  On any failure
-    the temporary file is removed, and a file that was already there is left
-    as it was.  A target that exists and is not a regular file or a
-    directory, such as a FIFO or a device, cannot be replaced, so the text is
-    written into it directly.  The error names ``path`` and the OS reason,
-    never the temporary file.
+    that target, which replaces it only once it is complete and takes the
+    permission bits of a regular file it replaces.  On any failure the
+    temporary file is removed, and a file that was already there is left as
+    it was.  A target that exists and is not a regular file or a directory,
+    such as a FIFO or a device, cannot be replaced, so the text is written
+    into it directly.  The error names ``path`` and the OS reason, never the
+    temporary file.
     """
     target = os.path.realpath(path)
     try:
-        if os.path.exists(target) and not (os.path.isfile(target) or os.path.isdir(target)):
+        try:
+            mode = os.stat(target).st_mode
+        except OSError:  # no target yet: the new file gets the umask's bits
+            mode = 0
+        if mode and not (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):
             with open(target, "w", newline="", encoding="utf-8") as handle:
                 handle.write(text)
             return
@@ -101,6 +107,8 @@ def _write_output(path: str, text: str) -> None:
         try:
             with handle:
                 handle.write(text)
+            if stat.S_ISREG(mode):
+                os.chmod(tmp, stat.S_IMODE(mode))
             os.replace(tmp, target)
         except BaseException:
             os.unlink(tmp)

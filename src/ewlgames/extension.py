@@ -16,7 +16,8 @@ in the input payoffs:
 
 Any other operator produces extensions that depend on how the classical
 game is written down; `empirical_invariance` demonstrates this directly by
-extending all relabeled presentations and searching for isomorphisms.
+comparing the new payoffs of each relabeled presentation and searching for
+isomorphisms where they agree.
 Records are immutable named tuples.
 """
 
@@ -148,6 +149,49 @@ def outcome_weights(params: UnitaryParams):
     ), point is not None
 
 
+def _classical_payoffs(game: BimatrixGame, exact: bool):
+    """Each player's four classical payoffs, row-major, in the form the new cells weight them.
+
+    One (values, denominator) pair per player.  On the exact route the
+    values are the payoffs scaled to integers, and the denominator is that
+    of the new payoffs, ``16 * scale``; on the float route they are floats,
+    and the denominator is None.  A game that is not 2x2, or a payoff
+    beyond the float range on the float route, raises ValueError.
+    """
+    if game.shape != (2, 2):
+        raise ValueError(f"extensions need a 2x2 game, got {game.shape}")
+    cells = [game.payoff(0, 0), game.payoff(0, 1), game.payoff(1, 0), game.payoff(1, 1)]
+    players = []
+    for player in (0, 1):
+        if exact:
+            (xs,), scale = _integer_matrix([[c[player] for c in cells]])
+            players.append((xs, 16 * scale))
+            continue
+        try:
+            players.append(([float(c[player]) for c in cells], None))
+        except (OverflowError, ValueError) as exc:
+            raise ValueError(f"payoffs too large for float evaluation: {exc}") from exc
+    return players
+
+
+def _new_payoffs(xs, den, weights) -> list:
+    """One player's payoffs in the five new cells, before they become Fractions.
+
+    Integer sums over ``den`` on the exact route; on the float route, floats
+    with the 16 divided out, and a sum that is not finite raises ValueError.
+    """
+    if den is not None:
+        return [sum(map(mul, w, xs)) for w in weights]
+    column = [sum(map(mul, w, xs)) / 16 for w in weights]
+    if not all(map(math.isfinite, column)):
+        try:
+            for value in column:
+                value.as_integer_ratio()  # raises what Fraction(value) would
+        except (OverflowError, ValueError) as exc:
+            raise ValueError(f"payoffs too large for float evaluation: {exc}") from exc
+    return column
+
+
 def build_extension(game: BimatrixGame, params: UnitaryParams) -> ExtendedGame:
     """The 3x3 extension of a 2x2 game by the strategy U(theta, alpha, beta).
 
@@ -158,22 +202,11 @@ def build_extension(game: BimatrixGame, params: UnitaryParams) -> ExtendedGame:
     are computed in floats and the result is marked ``exact=False``.  A
     float-route cell that overflows raises ValueError.
     """
-    if game.shape != (2, 2):
-        raise ValueError(f"extensions need a 2x2 game, got {game.shape}")
-    cells = [game.payoff(0, 0), game.payoff(0, 1), game.payoff(1, 0), game.payoff(1, 1)]
     weights, exact = outcome_weights(params)
     columns = []  # each player's five new payoffs
-    for player in (0, 1):
-        if exact:
-            (xs,), scale = _integer_matrix([[c[player] for c in cells]])
-            column = [Fraction(sum(map(mul, w, xs)), 16 * scale) for w in weights]
-        else:
-            try:
-                xs = [float(c[player]) for c in cells]
-                column = [Fraction(sum(map(mul, w, xs)) / 16) for w in weights]
-            except (OverflowError, ValueError) as exc:  # beyond the float range
-                raise ValueError(f"payoffs too large for float evaluation: {exc}") from exc
-        columns.append(column)
+    for xs, den in _classical_payoffs(game, exact):
+        values = _new_payoffs(xs, den, weights)
+        columns.append([Fraction(v, den) for v in values] if exact else [Fraction(v) for v in values])
     u_iu, u_ixu, u_ui, u_uix, u_uu = zip(*columns)
     grid = (
         (game.payoff(0, 0), game.payoff(0, 1), u_iu),
@@ -187,24 +220,48 @@ def build_extension(game: BimatrixGame, params: UnitaryParams) -> ExtendedGame:
     )
 
 
-def empirical_invariance(game: BimatrixGame, params: UnitaryParams) -> bool:
-    """Check invariance directly: extend every presentation and compare.
+# The classical cells of each relabeled variant, row-major, as indices into
+# the game's own row-major cells: `variant` writes them in this order.
+_VARIANT_CELLS = {
+    VariantKind.ROW_SWAP: (2, 3, 0, 1),
+    VariantKind.COL_SWAP: (1, 0, 3, 2),
+    VariantKind.ROW_COL_SWAP: (3, 2, 1, 0),
+}
 
-    Builds the extension of the game and of its three relabeled variants and
-    returns True iff each variant's extension is strongly isomorphic to the
-    base one.  It compares exactly on both routes: every invariant operator
-    is exact, so a float operator needs no tolerance.  On non-generic games
-    the verdict can be an accident of payoff ties, so a warning is emitted,
-    once the base extension (which checks the shape) is built.
+
+def empirical_invariance(game: BimatrixGame, params: UnitaryParams) -> bool:
+    """Check invariance directly: compare each relabeling's extension with the game's.
+
+    Returns True iff, for each of the game's three relabeled variants, the
+    extension of the variant is strongly isomorphic to the extension of the
+    game.  The classical block holds the same four payoffs in every
+    presentation, so two extensions have equal payoff multisets for each
+    player exactly when their five new payoffs do, and no isomorphism exists
+    where they differ.  So each variant's new payoffs are compared, sorted,
+    with the game's before anything is built, and only for a variant that
+    passes are both extensions built and the bijections searched.  It
+    compares exactly on both routes: every invariant operator is exact, so a
+    float operator needs no tolerance.  On non-generic games the verdict can
+    be an accident of payoff ties, so a warning is emitted, once the game's
+    new payoffs (which check the shape) are computed.
     """
-    base = build_extension(game, params).game
+    weights, exact = outcome_weights(params)
+    players = _classical_payoffs(game, exact)
+    ours = [sorted(_new_payoffs(xs, den, weights)) for xs, den in players]
     if not is_generic(game):
         warnings.warn(
             "empirical invariance checked on a non-generic game; "
             "payoff ties can make the verdict accidental",
             stacklevel=2,
         )
+    base = None
     for kind in VariantKind:
+        order = _VARIANT_CELLS[kind]
+        theirs = [sorted(_new_payoffs([xs[o] for o in order], den, weights)) for xs, den in players]
+        if theirs != ours:
+            return False
+        if base is None:
+            base = build_extension(game, params).game
         if find_isomorphism(base, build_extension(variant(game, kind), params).game) is None:
             return False
     return True

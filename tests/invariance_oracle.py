@@ -12,13 +12,26 @@ strongly isomorphic to the extension of each of its relabelings.
 
 The check uses no game, no genericity and no family rule, so it is the
 oracle for `classify`.
+
+`slow_empirical_invariance` builds every extension and searches the
+bijections for each relabeling, with no comparison of new payoffs first, so
+it is the oracle for `empirical_invariance`.
 """
 
 from __future__ import annotations
 
+import warnings
 from itertools import permutations
 
-from ewlgames import UnitaryParams
+from ewlgames import (
+    BimatrixGame,
+    UnitaryParams,
+    VariantKind,
+    build_extension,
+    find_isomorphism,
+    is_generic,
+    variant,
+)
 from ewlgames.extension import outcome_weights
 
 # The row swap, the column swap and both, as permutations of the outcomes (i, j).
@@ -59,5 +72,24 @@ def oracle_invariant(params: UnitaryParams, tol: float = 1e-9) -> bool:
         # An involution, so the relabeled cell's weight on outcome o is its old weight on sigma[o].
         moved = [[tuple(vec[s] for s in sigma) for vec in row] for row in array]
         if not _maps_onto(moved, array, tol):
+            return False
+    return True
+
+
+def slow_empirical_invariance(game: BimatrixGame, params: UnitaryParams) -> bool:
+    """Extend the game and its three relabelings; True iff each is isomorphic to the first.
+
+    Warns on a non-generic game, once the base extension (which checks the
+    shape) is built, exactly as `empirical_invariance` does.
+    """
+    base = build_extension(game, params).game
+    if not is_generic(game):
+        warnings.warn(
+            "empirical invariance checked on a non-generic game; "
+            "payoff ties can make the verdict accidental",
+            stacklevel=2,
+        )
+    for kind in VariantKind:
+        if find_isomorphism(base, build_extension(variant(game, kind), params).game) is None:
             return False
     return True

@@ -588,6 +588,24 @@ def test_output_through_a_symlink_writes_its_target(pd_file, tmp_path, capsys):
     assert [p.name for p in target.parent.iterdir()] == ["report.json"]
 
 
+def test_output_keeps_the_permission_bits_of_the_file_it_replaces(pd_file, tmp_path, capsys):
+    target = tmp_path / "out.json"
+    target.write_text("old")
+    target.chmod(0o600)
+    old_umask = os.umask(0o022)
+    try:
+        code, _, err = run(capsys, "solve", pd_file, "-o", str(target))
+        assert (code, err) == (0, "")
+        assert stat.S_IMODE(os.stat(target).st_mode) == 0o600
+        assert target.read_text() != "old"
+        # A new file still takes its bits from the umask.
+        fresh = tmp_path / "fresh.json"
+        assert run(capsys, "solve", pd_file, "-o", str(fresh))[0] == 0
+        assert stat.S_IMODE(os.stat(fresh).st_mode) == 0o644
+    finally:
+        os.umask(old_umask)
+
+
 def test_output_into_a_fifo_keeps_the_fifo(pd_file, tmp_path, capsys):
     expected = tmp_path / "expected.json"
     assert run(capsys, "solve", pd_file, "-o", str(expected))[0] == 0

@@ -2,6 +2,8 @@
 
 import math
 import random
+import warnings
+from collections import Counter
 from fractions import Fraction as F
 from itertools import product
 
@@ -28,7 +30,7 @@ from ewlgames import (
     variant,
 )
 from family_oracle import build_type_matrix, oracle_extension_grid
-from invariance_oracle import oracle_invariant
+from invariance_oracle import oracle_invariant, slow_empirical_invariance
 
 HALF = F(1, 2)
 
@@ -484,6 +486,66 @@ def test_invariance_check_warns_on_non_generic_game():
     tied = make_game(("A", "B"), ("C", "D"), [[(1, 1), (1, 2)], [(2, 1), (2, 2)]])
     with pytest.warns(UserWarning, match="non-generic"):
         empirical_invariance(tied, TYPE_II_OP)
+
+
+def _invariance_outcome(check, game, params):
+    """A check's verdict, or its ValueError, with the (category, message) of each warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            verdict = check(game, params)
+        except ValueError as exc:
+            verdict = f"ValueError: {exc}"
+    return verdict, [(w.category, str(w.message)) for w in caught]
+
+
+def _tie_heavy_game(rng):
+    cells = [[(rng.randrange(3), rng.randrange(3)) for _ in range(2)] for _ in range(2)]
+    return make_game(("A", "B"), ("C", "D"), cells)
+
+
+def test_empirical_invariance_matches_the_slow_check():
+    # The payoff shortcut against the check that builds every extension:
+    # generic games on the sixths x eighths lattice, tie-heavy games on the
+    # exact grid, float operators, and games both must refuse.
+    rng = random.Random(1817)
+    lattice = [
+        UnitaryParams.exact_pi(F(i, 6), F(j, 8), F(k, 8))
+        for i in range(7)
+        for j in range(16)
+        for k in range(16)
+    ]
+    exact_grid = [
+        UnitaryParams.exact_pi(t, F(j, 4), F(k, 4))
+        for t in (0, F(1, 3), HALF, F(2, 3), 1)
+        for j in range(8)
+        for k in range(8)
+    ]
+    cases = [(random_generic_game(rng), p) for _ in range(2) for p in lattice]
+    cases += [(_tie_heavy_game(rng), p) for _ in range(6) for p in exact_grid]
+    for _ in range(300):
+        game = random_generic_game(rng) if rng.random() < 0.5 else _tie_heavy_game(rng)
+        angles = (rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi))
+        cases.append((game, UnitaryParams.from_radians(*angles)))
+    # The row swap of this game passes the payoff comparison, yet no
+    # bijection carries one extension onto the other.
+    decoy = make_game(("A", "B"), ("C", "D"), [[(0, 0), (2, 2)], [(2, 0), (2, 2)]])
+    decoy_op = UnitaryParams.exact_pi(0, F(1, 4), 0)
+    cases.append((decoy, decoy_op))
+    # Beyond the float range: a payoff, and a new payoff that overflows.
+    for big in ("1e400", "1e308"):
+        game = make_game(("A", "B"), ("C", "D"), [[(big, 1), (big, 5)], [(5, 0), (1, 1)]])
+        cases.append((game, UnitaryParams.from_radians(0.8, 0.3, 1.1)))
+    three = make_game("abc", "xyz", [[(i, j) for j in range(3)] for i in range(3)])
+    cases.append((three, Q_OP))
+    verdicts = Counter()
+    for game, p in cases:
+        want = _invariance_outcome(slow_empirical_invariance, game, p)
+        assert _invariance_outcome(empirical_invariance, game, p) == want, (game.payoffs, p)
+        verdicts[want[0]] += 1
+    assert _invariance_outcome(empirical_invariance, decoy, decoy_op)[0] is False
+    assert min(verdicts[True], verdicts[False]) > 100
+    assert sum(isinstance(v, str) for v in verdicts) == 3
 
 
 def test_invariant_isomorphisms_fix_the_new_strategy(pd):
