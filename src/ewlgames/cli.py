@@ -78,6 +78,32 @@ def _json_text(data: dict) -> str:
     return json.dumps(data, indent=2) + "\n"
 
 
+def _drop_stdout() -> None:
+    """Send standard output to devnull once its reader has gone (`| head -1`).
+
+    The flush at interpreter exit then cannot fail again, and the command
+    keeps its exit code.
+    """
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
+def _standard_stream(path: str) -> int | None:
+    """1 or 2 if ``path`` opens the file of this process's standard output or error."""
+    try:
+        opened = os.stat(path)
+    except OSError:
+        return None
+    for fd in (1, 2):
+        try:
+            if os.path.samestat(opened, os.fstat(fd)):
+                return fd
+        except OSError:  # the stream is closed
+            pass
+    return None
+
+
 def _write_output(path: str, text: str) -> None:
     """Write ``text`` to ``path`` whole or not at all.
 
@@ -88,11 +114,25 @@ def _write_output(path: str, text: str) -> None:
     temporary file is removed, and a file that was already there is left as
     it was.  A target that exists and is not a regular file or a directory,
     such as a FIFO or a device, cannot be replaced, so the text is written
-    into it directly.  The error names ``path`` and the OS reason, never the
-    temporary file.
+    into it directly.  So is a target that is this process's standard output
+    or error (``/dev/stdout``, ``/dev/fd/2``, or the file either is
+    redirected to), through that stream: replacing the file would leave the
+    stream writing to an unlinked one.  The error names ``path`` and the OS
+    reason, never the temporary file.
     """
     target = os.path.realpath(path)
     try:
+        if fd := _standard_stream(path):
+            (sys.stdout if fd == 1 else sys.stderr).flush()
+            data = text.encode("utf-8")
+            try:
+                while data:
+                    data = data[os.write(fd, data):]
+            except BrokenPipeError:
+                if fd == 2:
+                    raise
+                _drop_stdout()  # the reader has gone, as below in `main`
+            return
         try:
             mode = os.stat(target).st_mode
         except OSError:  # no target yet: the new file gets the umask's bits
@@ -485,11 +525,7 @@ def main(argv=None) -> int:
         sys.stdout.write(text)
         sys.stdout.flush()
     except BrokenPipeError:
-        # The reader has gone (`| head -1`).  Standard output now goes to
-        # devnull, so the flush at interpreter exit cannot fail again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        _drop_stdout()
     return code
 
 

@@ -14,12 +14,11 @@ uniqueness proof by exhaustion.
 
 The enumeration runs in integers.  Each player's payoffs are multiplied by
 the lcm of their denominators and shifted, which leaves every equilibrium
-unchanged.  Every vertex solves one square system by Cramer's rule,
-``x_i = +-M(K, S with i replaced by the ones) / M(K, S)`` in lowest terms
-over a positive denominator.  Each k x k minor M of ``[C | 1]`` (rows: the
-opponent's kept strategies; columns: the player's own, then ones) is built
-once, as k products of smaller minors by Laplace expansion along its last
-row.  The checks compare integers; `Fraction` appears only in the report.
+unchanged.  Every vertex solves one square system by Cramer's rule over one
+table of the minors of ``[C | 1]`` (rows: the opponent's kept strategies;
+columns: the player's own, then ones), each built once by Laplace expansion
+along its last row.  Its slacks are read off the same table, one size up,
+as bordered minors.  `Fraction` appears only in the report.
 
 In a degenerate game two extreme equilibria share one player's mixture, so
 the segment between them is in equilibrium too; the report then lists the
@@ -32,8 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd
-from operator import mul
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .games import BimatrixGame, Payoff, _integer_matrix
@@ -52,10 +50,13 @@ class MixedProfile(_ProfileFields):
     __slots__ = ()
 
     def __new__(cls, p1, p2):
+        # Integer ratios over one common denominator: a `Fraction` sum reduces at every step.
         for vec in (p1, p2):
-            if any(p < 0 for p in vec):
+            ratios = [p.as_integer_ratio() for p in vec]
+            if min(ratios, default=(0, 1))[0] < 0:
                 raise ValueError(f"negative probability in {vec}")
-            if sum(vec) != 1:
+            den = lcm(*[d for _, d in ratios])
+            if sum([n * (den // d) for n, d in ratios]) != den:
                 raise ValueError(f"probabilities {vec} do not sum to 1")
         return super().__new__(cls, p1, p2)
 
@@ -168,17 +169,23 @@ def _dominated(payoffs: list[list[int]], own: int, mine: list[int], theirs: list
     return any(all(payoffs[k][t] > row[t] for t in theirs) for k in mine)
 
 
-@lru_cache(maxsize=64)
-def _cramer_plan(n_rows: int, n_cols: int) -> list[tuple[list, list, list]]:
+@lru_cache(maxsize=128)
+def _cramer_plan(opponent: tuple[int, ...], n_cols: int) -> list[tuple[list, list, list]]:
     """Per size k, the row sets, column sets and supports of `_vertices`, as bitmasks.
 
-    Column ``n_cols`` is the ones.  A column set carries its Laplace terms
-    along the last row, a support its Cramer columns with the ones at
-    position j.  Both sign position j by (-1)^(k - 1 + j), which for Cramer
-    is the parity of the k - 1 - j swaps that move the ones to the end.
+    Row r is the opponent's strategy r, on bit r, so a row set is also a
+    label mask.  Sizes run to min(rows, n_cols + 1), one past the largest
+    support, for the bordered minors.  A row set K carries its last row and
+    its borders: for each other row r, r's bit, K + r and the sign
+    (-1)^(rows of K after r) of moving r to the bottom, as is and negated
+    (for a negative M(K, S)).  Column ``n_cols`` is the ones.  A column set
+    carries its Laplace terms along the last row; a support its Cramer
+    columns, with the ones at position j, and itself plus the ones.  Both
+    sign position j by (-1)^(k - 1 + j), which for Cramer is the parity of
+    the k - 1 - j swaps that move the ones to the end.
     """
     plan = []
-    for k in range(1, min(n_rows, n_cols) + 1):
+    for k in range(1, min(len(opponent), n_cols + 1) + 1):
         expansion, supports = [], []
         for cols in combinations(range(n_cols + 1), k):
             mask = sum(1 << c for c in cols)
@@ -186,8 +193,13 @@ def _cramer_plan(n_rows: int, n_cols: int) -> list[tuple[list, list, list]]:
             expansion.append((mask, terms))
             if n_cols not in cols:
                 cramer = [(mask ^ bit | 1 << n_cols, sign) for _, bit, sign in terms]
-                supports.append((cols, mask, cramer))
-        row_sets = [sum(1 << r for r in rows) for rows in combinations(range(n_rows), k)]
+                supports.append((cols, mask, mask | 1 << n_cols, cramer))
+        row_sets = []
+        for rows in combinations(opponent, k):
+            mask = sum(1 << r for r in rows)
+            signs = [(1 << r, (-1) ** sum(s > r for s in rows)) for r in opponent if r not in rows]
+            borders = [[(bit, mask | bit, sign * flip) for bit, sign in signs] for flip in (1, -1)]
+            row_sets.append((mask, max(rows), borders))
         plan.append((row_sets, expansion, supports))
     return plan
 
@@ -200,70 +212,65 @@ def _vertices(
     ``constraints[k][i]`` is the opponent's positive payoff for its pure
     strategy k when this player plays i.  Only the strategies ``own`` of
     this player and ``opponent`` of the opponent take part: x is zero off
-    ``own``, and the other constraints are dropped.  Every vertex is the
-    unique solution of ``c . x = 1`` over some set K of constraints with x
-    zero off some support S of the same size, so every such pair (S, K) is
-    solved, by Cramer's rule.  The labels are read off the vertex: the first
-    mask has bit i set where x_i = 0, the second bit k where constraint k is
-    tight, that is where k is the opponent's best response.  A dropped
-    constraint is never tight.
+    ``own``, and the other constraints are dropped and never tight.  Every
+    vertex solves ``c . x = 1`` over some set K of constraints, with x zero
+    off some support S of the same size, so every such (S, K) is solved by
+    Cramer's rule.  By the Schur complement, M(K + r, S + ones) with row r
+    moved to the bottom is M(K, S) (1 - c_r . x), so each other kept
+    constraint r is tight where that minor is zero and violated where it has
+    the wrong sign.  Labels: the first mask has bit i set where x_i = 0, the
+    second bit k where constraint k is tight, that is where k is the
+    opponent's best response.
     """
     vertices: dict[_Vertex, tuple[int, int]] = {}
-    kept = [constraints[k] for k in opponent]
-    matrix = [[c[i] for i in own] + [1] for c in kept]
+    matrix = {k: [constraints[k][i] for i in own] + [1] for k in opponent}
+    plan = _cramer_plan(tuple(opponent), len(own))
     # minors[R][C]: the minor on the rows in R and the columns in C.
     minors = {0: {0: 1}}
-    for row_sets, expansion, supports in _cramer_plan(len(kept), len(own)):
-        for rows in row_sets:
-            last = rows.bit_length() - 1
+    for row_sets, expansion, _ in plan:
+        for rows, last, _ in row_sets:
             entries, smaller = matrix[last], minors[rows ^ 1 << last]
             minors[rows] = {
                 cols: sum(sign * entries[c] * smaller[cols ^ bit] for c, bit, sign in terms)
                 for cols, terms in expansion
             }
-        for support, cols, cramer in supports:
-            for rows in row_sets:
+    for row_sets, _, supports in plan:
+        for support, cols, bordered, cramer in supports:
+            for rows, _, borders in row_sets:
                 table = minors[rows]
                 if not (den := table[cols]):
                     continue
                 nums = [sign * table[c] for c, sign in cramer]
-                g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)  # so den // g > 0
-                den, nums = den // g, [v // g for v in nums]
-                if min(nums) < 0:
+                if min(nums) < 0 if den > 0 else max(nums) > 0:  # x has a negative entry
                     continue
-                x = [0] * size
-                for i, v in zip(support, nums):
-                    x[own[i]] = v
-                slack = [den - sum(map(mul, c, x)) for c in kept]
-                if min(slack) < 0:
-                    continue
-                best = sum(1 << j for j, s in zip(opponent, slack) if s == 0)
-                unplayed = sum(1 << i for i, v in enumerate(x) if v == 0)
-                vertices[tuple(x), den] = (unplayed, best)
+                best = rows
+                for bit, wider, sign in borders[den < 0]:
+                    if (slack := sign * minors[wider][bordered]) < 0:
+                        break
+                    if not slack:
+                        best |= bit
+                else:
+                    g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)  # so den // g > 0
+                    x = [0] * size
+                    for i, v in zip(support, nums):
+                        x[own[i]] = v // g
+                    unplayed = sum(1 << i for i, v in enumerate(x) if v == 0)
+                    vertices[tuple(x), den // g] = (unplayed, best)
     return vertices
 
 
 def support_enumeration(game: BimatrixGame) -> EquilibriumReport:
     """All Nash equilibria of the game, as the extreme equilibria and a degeneracy flag.
 
-    Enumerates the vertices of the two best-response polytopes and pairs
-    those whose labels cover every pure strategy (von Stengel, Handbook of
-    Game Theory 3, 2002).  Complete for every shape.  Strictly dominated
-    strategies are removed first; the number of systems grows with the
-    number of support pairs among the rest, at most 19 per player on 3x3.
-    Each player's payoffs are scaled to integers and every system is solved
-    by Cramer's rule over one shared table of minors; `Fraction` appears
-    only in the report.
+    Pairs the vertices of the two best-response polytopes whose labels cover
+    every pure strategy, after strict dominance; complete for every shape.
+    On 3x3 it solves at most 19 systems per player.
     """
     n, m = game.shape
     # A positive scaling or a shift of one player's payoffs leaves every best
     # response, and so every equilibrium, unchanged.
-    a_by_row, scale1, shift1 = _positive_matrix(
-        [[game.payoff(i, j)[0] for j in range(m)] for i in range(n)]
-    )
-    b_by_col, scale2, shift2 = _positive_matrix(
-        [[game.payoff(i, j)[1] for i in range(n)] for j in range(m)]
-    )
+    a_by_row, scale1, shift1 = _positive_matrix([[a for a, _ in row] for row in game.payoffs])
+    b_by_col, scale2, shift2 = _positive_matrix([[b for _, b in col] for col in zip(*game.payoffs)])
     # Removing strictly dominated strategies leaves every equilibrium, and
     # each one's vertex pair, unchanged: a removed strategy is unplayed, and
     # it is never a best response, so its constraint is never tight.
@@ -310,19 +317,12 @@ def report_to_json_dict(report: EquilibriumReport, game: BimatrixGame) -> dict:
     """Equilibrium report as a JSON-ready dict with exact fraction strings."""
     return {
         "pure": [
-            {
-                "row": game.row_labels[i],
-                "col": game.col_labels[j],
-                "payoff": [str(pay[0]), str(pay[1])],
-            }
+            {"row": game.row_labels[i], "col": game.col_labels[j], "payoff": [str(v) for v in pay]}
             for i, j, pay in report.pure
         ],
         "mixed": [
-            {
-                "p1": [str(p) for p in prof.p1],
-                "p2": [str(p) for p in prof.p2],
-                "payoff": [str(pay[0]), str(pay[1])],
-            }
+            {"p1": [str(p) for p in prof.p1], "p2": [str(p) for p in prof.p2],
+             "payoff": [str(v) for v in pay]}
             for prof, pay in report.mixed
         ],
         "degenerate": report.degenerate,

@@ -10,16 +10,19 @@ their per-player value scans, is the one `ewlgames.nash` used before it
 computed every pure strategy's value in one pass; it is the oracle for that
 pass.
 
-`eliminate` and `vertices` at the end are the vertex enumeration
-`ewlgames.nash` ran before it solved each system by Cramer's rule over a
-table of minors: one fraction-free Gauss-Jordan elimination per system.
-They are the oracle for `nash._vertices`, which must return exactly their
-dict of vertices and labels.
+`eliminate` and `vertices` are the vertex enumeration `ewlgames.nash` ran
+before it solved each system by Cramer's rule over a table of minors: one
+fraction-free Gauss-Jordan elimination per system.  `dot_product_vertices`
+at the end is the Cramer enumeration `ewlgames.nash` ran before it read each
+vertex's slacks off bordered minors: it computes them by dot products.
+Both are oracles for `nash._vertices`, which must return exactly their dict
+of vertices and labels.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
 from operator import mul
@@ -314,6 +317,85 @@ def vertices(
                 x = [0] * size
                 for i, v in zip(support, nums):
                     x[i] = v
+                slack = [den - sum(map(mul, c, x)) for c in kept]
+                if min(slack) < 0:
+                    continue
+                best = sum(1 << j for j, s in zip(opponent, slack) if s == 0)
+                unplayed = sum(1 << i for i, v in enumerate(x) if v == 0)
+                vertices[tuple(x), den] = (unplayed, best)
+    return vertices
+
+
+# --- Cramer's rule with dot-product slacks -----------------------------------
+
+
+@lru_cache(maxsize=64)
+def _dot_product_plan(n_rows: int, n_cols: int) -> list[tuple[list, list, list]]:
+    """Per size k, the row sets, column sets and supports of `dot_product_vertices`.
+
+    Column ``n_cols`` is the ones.  A column set carries its Laplace terms
+    along the last row, a support its Cramer columns with the ones at
+    position j.  Both sign position j by (-1)^(k - 1 + j), which for Cramer
+    is the parity of the k - 1 - j swaps that move the ones to the end.
+    """
+    plan = []
+    for k in range(1, min(n_rows, n_cols) + 1):
+        expansion, supports = [], []
+        for cols in combinations(range(n_cols + 1), k):
+            mask = sum(1 << c for c in cols)
+            terms = [(c, 1 << c, (-1) ** (k - 1 + j)) for j, c in enumerate(cols)]
+            expansion.append((mask, terms))
+            if n_cols not in cols:
+                cramer = [(mask ^ bit | 1 << n_cols, sign) for _, bit, sign in terms]
+                supports.append((cols, mask, cramer))
+        row_sets = [sum(1 << r for r in rows) for rows in combinations(range(n_rows), k)]
+        plan.append((row_sets, expansion, supports))
+    return plan
+
+
+def dot_product_vertices(
+    constraints: list[list[int]], size: int, own: list[int], opponent: list[int]
+) -> dict[tuple[tuple[int, ...], int], tuple[int, int]]:
+    """The nonzero vertices of ``{x >= 0 : c . x <= 1 for c in constraints}``, with labels.
+
+    ``constraints[k][i]`` is the opponent's positive payoff for its pure
+    strategy k when this player plays i.  Only the strategies ``own`` of
+    this player and ``opponent`` of the opponent take part: x is zero off
+    ``own``, and the other constraints are dropped.  Every vertex is the
+    unique solution of ``c . x = 1`` over some set K of constraints with x
+    zero off some support S of the same size, so every such pair (S, K) is
+    solved, by Cramer's rule over one table of minors.  Each vertex's slacks
+    are then computed by a dot product with every kept constraint, and the
+    labels are read off them: the first mask has bit i set where x_i = 0,
+    the second bit k where constraint k is tight, that is where k is the
+    opponent's best response.  A dropped constraint is never tight.
+    """
+    vertices: dict[tuple[tuple[int, ...], int], tuple[int, int]] = {}
+    kept = [constraints[k] for k in opponent]
+    matrix = [[c[i] for i in own] + [1] for c in kept]
+    # minors[R][C]: the minor on the rows in R and the columns in C.
+    minors = {0: {0: 1}}
+    for row_sets, expansion, supports in _dot_product_plan(len(kept), len(own)):
+        for rows in row_sets:
+            last = rows.bit_length() - 1
+            entries, smaller = matrix[last], minors[rows ^ 1 << last]
+            minors[rows] = {
+                cols: sum(sign * entries[c] * smaller[cols ^ bit] for c, bit, sign in terms)
+                for cols, terms in expansion
+            }
+        for support, cols, cramer in supports:
+            for rows in row_sets:
+                table = minors[rows]
+                if not (den := table[cols]):
+                    continue
+                nums = [sign * table[c] for c, sign in cramer]
+                g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)  # so den // g > 0
+                den, nums = den // g, [v // g for v in nums]
+                if min(nums) < 0:
+                    continue
+                x = [0] * size
+                for i, v in zip(support, nums):
+                    x[own[i]] = v
                 slack = [den - sum(map(mul, c, x)) for c in kept]
                 if min(slack) < 0:
                     continue

@@ -624,6 +624,35 @@ def test_output_into_a_fifo_keeps_the_fifo(pd_file, tmp_path, capsys):
     assert received == [expected.read_text()]
 
 
+def test_output_to_a_standard_stream_writes_through_it(pd_file, tmp_path):
+    # Child processes, whose standard streams go to a log file or a pipe.
+    # Replacing the log file would send the lines written around the output
+    # to the old, unlinked file.
+    env = dict(os.environ, PYTHONPATH=str(Path(ewlgames.__file__).parents[1]))
+    argv = [sys.executable, "-m", "ewlgames.cli", "sweep", pd_file,
+            "--thetas", "1/2pi", "--alphas", "0", "--betas", "0", "-o"]
+    log = tmp_path / "log.txt"
+    expected = tmp_path / "expected.csv"
+    subprocess.run(argv + [str(expected)], env=env, check=True, timeout=120)
+    # "r+" after the first line is `> log` after `echo before`; "a" is `>> log`.
+    for target, stream, mode in [("/dev/stdout", "stdout", "r+"), ("/dev/fd/1", "stdout", "r+"),
+                                 (str(log), "stdout", "r+"), ("/dev/stderr", "stderr", "a"),
+                                 ("/dev/fd/2", "stderr", "a")]:
+        log.write_text("before\n")
+        inode = os.stat(log).st_ino
+        with open(log, mode) as handle:
+            handle.seek(0, os.SEEK_END)
+            child = subprocess.run(argv + [target], env=env, timeout=120, **{stream: handle})
+            handle.write("after\n")
+        assert child.returncode == 0, target
+        assert os.stat(log).st_ino == inode, target
+        assert log.read_text() == f"before\n{expected.read_text()}after\n", target
+    # Into a pipe, which has no path to replace.
+    child = subprocess.run(argv + ["/dev/stdout"], env=env, capture_output=True, text=True,
+                           timeout=120)
+    assert (child.returncode, child.stdout, child.stderr) == (0, expected.read_text(), "")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

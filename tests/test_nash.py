@@ -509,15 +509,11 @@ def test_positive_scaling_leaves_equilibria_unchanged(player):
         assert base.degenerate == moved.degenerate
 
 
-# --- Cramer's rule over the minor table against the elimination oracle ---------
+# --- Cramer's rule and bordered minors against the two vertex oracles ---------
 
 
-def assert_vertices_match_oracle(game):
-    """Both players' `_vertices` equal the elimination oracle's, dict for dict.
-
-    Each player's polytope is checked on the strategies that survive strict
-    dominance, as the solver sees it, and on every strategy.
-    """
+def solver_matrices(game):
+    """Player 1's payoffs by row and player 2's by column, as `_vertices` gets them."""
     n, m = game.shape
     a_by_row, _, _ = nash._positive_matrix(
         [[game.payoff(i, j)[0] for j in range(m)] for i in range(n)]
@@ -525,9 +521,25 @@ def assert_vertices_match_oracle(game):
     b_by_col, _, _ = nash._positive_matrix(
         [[game.payoff(i, j)[1] for i in range(n)] for j in range(m)]
     )
+    return a_by_row, b_by_col
+
+
+def assert_vertices_match_oracle(game):
+    """Both players' `_vertices` equal both vertex oracles', dict for dict.
+
+    The oracles are Gauss-Jordan elimination per system and Cramer's rule
+    with dot-product slacks; the second also finds the vertices in the same
+    order.  Each player's polytope is checked on the strategies that survive
+    strict dominance, as the solver sees it, and on every strategy.
+    """
+    n, m = game.shape
+    a_by_row, b_by_col = solver_matrices(game)
     for rows, cols in (nash._undominated(a_by_row, b_by_col), (list(range(n)), list(range(m)))):
         for args in ((b_by_col, n, rows, cols), (a_by_row, m, cols, rows)):
-            assert nash._vertices(*args) == nash_oracle.vertices(*args)
+            found = nash._vertices(*args)
+            expected = nash_oracle.dot_product_vertices(*args)
+            assert list(found.items()) == list(expected.items())
+            assert found == nash_oracle.vertices(*args)
 
 
 @settings(max_examples=150, deadline=None)
@@ -553,3 +565,21 @@ def test_vertices_match_elimination_oracle_on_snapped_extensions():
         ext = build_extension(random_generic_game(rng), params)
         assert not ext.exact
         assert_vertices_match_oracle(snapped(ext.game))
+
+
+def test_vertices_match_oracles_where_the_opponent_keeps_two_more_strategies():
+    # After strict dominance, one player's opponent keeps at least two more
+    # strategies than that player, so a vertex of full support still has
+    # kept constraints outside its tight set, and their slacks are read off
+    # minors one size past the largest support.
+    rng = random.Random(79)
+    shapes = [(4, 1), (1, 4), (4, 2), (2, 4), (5, 2)]
+    wide = {shape: 0 for shape in shapes}
+    while min(wide.values()) < 25:
+        shape = rng.choice(shapes)
+        n, m = shape
+        game = grid_game([(rng.randrange(3), rng.randrange(3)) for _ in range(n * m)], n, m)
+        rows, cols = nash._undominated(*solver_matrices(game))
+        if abs(len(rows) - len(cols)) >= 2:
+            wide[shape] += 1
+            assert_vertices_match_oracle(game)
