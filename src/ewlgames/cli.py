@@ -78,28 +78,39 @@ def _json_text(data: dict) -> str:
     return json.dumps(data, indent=2) + "\n"
 
 
-def _drop_stdout() -> None:
-    """Send standard output to devnull once its reader has gone (`| head -1`).
+def _drop(fd: int) -> None:
+    """Send ``fd`` to devnull once its reader has gone (`| head -1`).
 
     The flush at interpreter exit then cannot fail again, and the command
     keeps its exit code.
     """
     devnull = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(devnull, sys.stdout.fileno())
+    os.dup2(devnull, fd)
     os.close(devnull)
 
 
-def _standard_stream(path: str) -> int | None:
-    """1 or 2 if ``path`` opens the file of this process's standard output or error."""
+def _write_through(path: str) -> int | None:
+    """A descriptor this process holds open for writing on the file ``path`` opens.
+
+    Where ``/dev/fd`` cannot be listed, only standard output and error are tried.
+    """
     try:
         opened = os.stat(path)
     except OSError:
         return None
-    for fd in (1, 2):
+    try:
+        listed = [int(fd) for fd in os.listdir("/dev/fd")]
+    except OSError:
+        listed = [1, 2]
+    for fd in listed:
         try:
-            if os.path.samestat(opened, os.fstat(fd)):
+            if not os.path.samestat(opened, os.fstat(fd)):
+                continue
+            import fcntl  # not at start-up: most targets match no descriptor
+
+            if fcntl.fcntl(fd, fcntl.F_GETFL) & (os.O_WRONLY | os.O_RDWR):
                 return fd
-        except OSError:  # the stream is closed
+        except OSError:  # closed, such as the descriptor that listed /dev/fd
             pass
     return None
 
@@ -114,24 +125,23 @@ def _write_output(path: str, text: str) -> None:
     temporary file is removed, and a file that was already there is left as
     it was.  A target that exists and is not a regular file or a directory,
     such as a FIFO or a device, cannot be replaced, so the text is written
-    into it directly.  So is a target that is this process's standard output
-    or error (``/dev/stdout``, ``/dev/fd/2``, or the file either is
-    redirected to), through that stream: replacing the file would leave the
-    stream writing to an unlinked one.  The error names ``path`` and the OS
-    reason, never the temporary file.
+    into it directly.  So is a target that this process holds open for
+    writing (``/dev/stdout``, ``/dev/fd/3``, or the file a descriptor is
+    redirected to), through that descriptor: replacing the file would leave
+    the descriptor writing to an unlinked one.  The error names ``path`` and
+    the OS reason, never the temporary file.
     """
     target = os.path.realpath(path)
     try:
-        if fd := _standard_stream(path):
-            (sys.stdout if fd == 1 else sys.stderr).flush()
+        if (fd := _write_through(path)) is not None:
+            if sys.stdout:  # None if the process started with descriptor 1 closed
+                sys.stdout.flush()  # so earlier output stays first; stderr is line-buffered
             data = text.encode("utf-8")
             try:
                 while data:
                     data = data[os.write(fd, data):]
             except BrokenPipeError:
-                if fd == 2:
-                    raise
-                _drop_stdout()  # the reader has gone, as below in `main`
+                _drop(fd)  # the reader has gone, as below in `main`
             return
         try:
             mode = os.stat(target).st_mode
@@ -508,6 +518,7 @@ def main(argv=None) -> int:
     nothing themselves.  A `CliError` from the command or from the ``-o``
     write leaves standard output empty and any ``-o`` target as it was, and
     drops the command's warnings; otherwise each is one ``warning:`` line.
+    A standard stream whose reader has gone is dropped, and the exit code kept.
     """
     args = build_parser().parse_args(argv)
     try:
@@ -516,16 +527,14 @@ def main(argv=None) -> int:
             code, text, saved = args.func(args)
         if saved is not None:
             _write_output(args.out, saved)
+        notes = "".join(f"warning: {warning.message}\n" for warning in caught)
     except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    for warning in caught:
-        print(f"warning: {warning.message}", file=sys.stderr)
-    try:
-        sys.stdout.write(text)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        _drop_stdout()
+        code, text, notes = exc.code, "", f"error: {exc}\n"
+    for stream, out in ((sys.stderr, notes), (sys.stdout, text)):
+        try:
+            print(out, end="", file=stream, flush=True)
+        except BrokenPipeError:
+            _drop(stream.fileno())
     return code
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import importlib
 import io
 import itertools
 import json
@@ -209,22 +210,20 @@ def test_failed_float_sweep_leaves_no_partial_csv(write_json, tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.json", "part.csv"]
 
 
-# A payoff whose printed form has more digits than `str(int)` allows.
-BIG_PD_JSON = dict(PD_JSON, payoffs=[[["3", "3"], ["0", "5"]], [["5", "0"], ["1e5000", "1"]]])
-
-
-@pytest.mark.parametrize(
+DIGIT_LIMIT_COMMANDS = pytest.mark.parametrize(
     "command",
     [
-        ["extend", "{game}", "--theta", "0", "--alpha", "0", "--beta", "0", "-o", "{out}"],
+        ["extend", "{game}", "--theta", "1/2pi", "--alpha", "1/4pi", "--beta", "0", "-o", "{out}"],
         ["solve", "{game}", "-o", "{out}"],
         ["sweep", "{game}", "--thetas", "0", "--alphas", "0", "--betas", "0", "-o", "{out}"],
         ["reproduce", "--pd-file", "{game}"],
     ],
     ids=["extend", "solve", "sweep", "reproduce"],
 )
-def test_value_too_long_to_print_is_input_error(write_json, tmp_path, capsys, command):
-    game = write_json("big.json", BIG_PD_JSON)
+
+
+def run_failing_on_game(capsys, tmp_path, game, command):
+    """Run ``command`` on ``game``; it fails with one error line, and writes nothing."""
     out_path = tmp_path / "out"
     argv = [{"{game}": game, "{out}": str(out_path)}.get(arg, arg) for arg in command]
     code, out, err = run(capsys, *argv)
@@ -232,6 +231,29 @@ def test_value_too_long_to_print_is_input_error(write_json, tmp_path, capsys, co
     assert len(err.splitlines()) == 1 and err.startswith("error:")
     assert out == ""
     assert not out_path.exists()
+    return err
+
+
+@DIGIT_LIMIT_COMMANDS
+def test_payoff_too_long_to_read_is_refused_at_load(write_json, tmp_path, capsys, command):
+    game = write_json("big.json", dict(PD_JSON, payoffs=[[["3", "3"], ["0", "5"]],
+                                                         [["5", "0"], ["1e5000", "1"]]]))
+    err = run_failing_on_game(capsys, tmp_path, game, command)
+    assert "payoff '1e5000' has more than 4300 digits" in err
+
+
+# Payoffs that each fit the 4300-digit limit, over four coprime denominators
+# of about 3,900 digits, so that sums of them, in every command's output, do not.
+_DENOMINATORS = [2**13000, 3**8000, 5**5600, 7**4700]
+_P, _Q, _R, _S = (f"1/{d}" for d in _DENOMINATORS)
+WIDE_GAME_JSON = dict(PD_JSON, payoffs=[[["1", _P], [_Q, "1"]], [[_R, "1"], ["1", _S]]])
+
+
+@DIGIT_LIMIT_COMMANDS
+def test_value_too_long_to_print_is_input_error(write_json, tmp_path, capsys, command):
+    game = write_json("wide.json", WIDE_GAME_JSON)
+    err = run_failing_on_game(capsys, tmp_path, game, command)
+    assert err.startswith("error: a value has too many digits to print: ")
 
 
 def test_integer_literal_too_long_to_read_is_input_error(tmp_path, capsys):
@@ -396,16 +418,43 @@ QUARTER_PI = "0,1/4pi,1/2pi,3/4pi,pi,5/4pi,3/2pi,7/4pi"
 FULL_GRID = ["--thetas", "0,1/3pi,1/2pi,2/3pi,pi", "--alphas", QUARTER_PI, "--betas", QUARTER_PI]
 
 
-def test_full_grid_sweep_csv_is_unchanged(pd_file, capsys):
-    code, out, _ = run(capsys, "sweep", pd_file, *FULL_GRID)
-    assert code == 0
-    assert hashlib.md5(out.encode()).hexdigest() == "4f82532571968410f9fefbb42c4a4f9c"
+EXTEND_TO_FILE = ["extend", "{pd}", "--theta", "1/3pi", "--alpha", "1/4pi", "--beta", "3/4pi",
+                  "-o", "{ext}"]
 
 
-def test_reproduce_json_is_unchanged(capsys):
-    code, out, _ = run(capsys, "reproduce", "--json")
-    assert code == 0
-    assert hashlib.md5(out.encode()).hexdigest() == "029eb049729a23ddd18c60e2ccf5c3ce"
+# The md5 of the last command's -o file, or of its standard output if it has none.
+@pytest.mark.parametrize(
+    "commands, digest",
+    [
+        ([["sweep", "{pd}", *FULL_GRID]], "4f82532571968410f9fefbb42c4a4f9c"),
+        ([["sweep", "{swapped}", *FULL_GRID]], "e957a54a985bf5ee2b75db6173d42946"),
+        ([["sweep", "{swapped}", "--thetas", "0,0.8,1/2pi,1.5707963272",
+           "--alphas", "0,0.3,0.7853981634", "--betas", "0,1.1,1/4pi", "--allow-float-solve"]],
+         "607be443a44710b79008e2b6f53aa68f"),
+        ([["solve", "{tie3}"]], "1e77f3e8066ecc43a0686454e16c5e31"),
+        ([EXTEND_TO_FILE], "7ca3ed4ba6c4d15b545acd4da3c9f734"),
+        ([EXTEND_TO_FILE, ["solve", "{ext}"]], "d73d3324ec7865c006e26804e401c801"),
+        ([["reproduce", "--json"]], "029eb049729a23ddd18c60e2ccf5c3ce"),
+    ],
+    ids=["sweep-pd", "sweep-swapped", "sweep-mixed-float", "solve-tie3", "extend-file",
+         "solve-extension", "reproduce-json"],
+)
+def test_output_is_unchanged(write_json, tmp_path, capsys, commands, digest):
+    paths = {
+        "{pd}": write_json("pd.json", PD_JSON),
+        "{swapped}": write_json("swapped.json", dict(
+            PD_JSON, rows=["D", "C"], cols=["D", "C"],
+            payoffs=[[["1", "1"], ["5", "0"]], [["0", "5"], ["3", "3"]]])),
+        "{tie3}": write_json("tie3.json", dict(GI3_JSON, rows=["a", "b", "c"],
+                                               cols=["x", "y", "z"])),
+        "{ext}": str(tmp_path / "ext.json"),
+    }
+    for command in commands:
+        argv = [paths.get(arg, arg) for arg in command]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+    data = Path(argv[argv.index("-o") + 1]).read_bytes() if "-o" in argv else out.encode()
+    assert hashlib.md5(data).hexdigest() == digest
 
 
 def counting_solver(monkeypatch):
@@ -513,19 +562,31 @@ def test_sweep_operators_equal_pointwise_operators(pd_file, capsys, monkeypatch)
 
 
 @pytest.mark.parametrize(
-    "alphas, message",
+    "argv, code, message",
     [
-        ("0", "theta = 2*pi outside [0, pi]"),
+        (["sweep", "{pd}", "--thetas", "1/2pi,2pi", "--alphas", "0", "--betas", "0"], 3,
+         "theta = 2*pi outside [0, pi]"),
         # A float angle takes the pointwise route, which checks theta in radians.
-        ("0.3,0", "theta = 6.283185307179586 outside [0, pi]"),
+        (["sweep", "{pd}", "--thetas", "1/2pi,2pi", "--alphas", "0.3,0", "--betas", "0"], 3,
+         "theta = 6.283185307179586 outside [0, pi]"),
+        (["solve", "{missing}"], 2,
+         "cannot read {missing}: [Errno 2] No such file or directory: '{missing}'"),
+        (["sweep", "{gi3}", "--thetas", "0", "--alphas", "0", "--betas", "0"], 3,
+         "sweep needs a 2x2 game, got (3, 3)"),
+        (["reproduce", "--pd-file", "{gi3}"], 3, "--pd-file must hold a 2x2 game"),
+        # argparse reads "--thetas=--" as an empty list.
+        (["sweep", "{pd}", "--thetas=--", "--alphas", "0", "--betas", "0"], 2,
+         "cannot parse angle list []"),
     ],
-    ids=["exact", "float-alpha"],
+    ids=["sweep-theta-exact", "sweep-theta-float-alpha", "missing-file", "sweep-3x3",
+         "reproduce-3x3", "sweep-empty-list"],
 )
-def test_sweep_theta_out_of_range_message(pd_file, capsys, alphas, message):
-    code, out, err = run(capsys, "sweep", pd_file, "--thetas", "1/2pi,2pi", "--alphas", alphas,
-                         "--betas", "0")
-    assert code == 3 and out == ""
-    assert err == f"error: {message}\n"
+def test_error_is_one_pinned_line(pd_file, write_json, tmp_path, capsys, argv, code, message):
+    paths = {"{pd}": pd_file, "{gi3}": write_json("gi3.json", GI3_JSON),
+             "{missing}": str(tmp_path / "missing.json")}
+    got, out, err = run(capsys, *[paths.get(arg, arg) for arg in argv])
+    assert got == code and out == ""
+    assert err == f"error: {message.replace('{missing}', paths['{missing}'])}\n"
 
 
 @pytest.mark.parametrize(
@@ -647,6 +708,17 @@ def test_output_to_a_standard_stream_writes_through_it(pd_file, tmp_path):
         assert child.returncode == 0, target
         assert os.stat(log).st_ino == inode, target
         assert log.read_text() == f"before\n{expected.read_text()}after\n", target
+    # A descriptor the shell passes on, as `3>> log`, is written through too;
+    # one open only for reading, as `3< log`, is not, and the file is replaced.
+    for mode, kept in [("a", True), ("r", False)]:
+        log.write_text("before\n")
+        inode = os.stat(log).st_ino
+        with open(log, mode) as handle:
+            child = subprocess.run(argv + [f"/dev/fd/{handle.fileno()}"], env=env, timeout=120,
+                                   pass_fds=[handle.fileno()])
+        assert child.returncode == 0, mode
+        assert (os.stat(log).st_ino == inode) == kept, mode
+        assert log.read_text() == ("before\n" if kept else "") + expected.read_text(), mode
     # Into a pipe, which has no path to replace.
     child = subprocess.run(argv + ["/dev/stdout"], env=env, capture_output=True, text=True,
                            timeout=120)
@@ -788,27 +860,47 @@ def test_identical_invocations_are_byte_identical(pd_file, capsys):
 
 
 
-@pytest.mark.parametrize("payoff, code", [("3", 0), ("4", 1)], ids=["passing", "failing"])
-def test_closed_stdout_pipe_ends_quietly(write_json, payoff, code):
-    # A (C, C) payoff of 4 fails the Q claim.  The read end of the pipe is
-    # closed before the child starts, so the child's write always fails.
-    pd = dict(PD_JSON, payoffs=[[[payoff, "3"], ["0", "5"]], [["5", "0"], ["1", "1"]]])
-    argv = ["reproduce", "--json", "--pd-file", write_json("pd.json", pd)]
+@pytest.mark.parametrize(
+    "argv, closed, code",
+    [
+        (["reproduce", "--json", "--pd-file", "{pd}"], "stdout", 0),
+        # A (C, C) payoff of 4 fails the Q claim.
+        (["reproduce", "--json", "--pd-file", "{failing}"], "stdout", 1),
+        (["classify", "--theta", "9", "--alpha", "0", "--beta", "0"], "stderr", 3),
+        (["isocheck", "{tied}", "{tied}", "--theta", "1/2pi", "--alpha", "0", "--beta", "0"],
+         "stderr", 0),
+        (["sweep", "{pd}", "--thetas", "1/2pi", "--alphas", "0", "--betas", "0",
+          "-o", "/dev/stderr"], "stderr", 0),
+    ],
+    ids=["passing", "failing", "stderr-error", "stderr-warning", "stderr-output"],
+)
+def test_closed_stdout_pipe_ends_quietly(write_json, argv, closed, code):
+    # The read end of the pipe is closed before the child starts, so the
+    # child's write to that stream always fails.
+    paths = {
+        "{pd}": write_json("pd.json", PD_JSON),
+        "{failing}": write_json("failing.json", dict(
+            PD_JSON, payoffs=[[["4", "3"], ["0", "5"]], [["5", "0"], ["1", "1"]]])),
+        "{tied}": write_json("tie.json", dict(
+            PD_JSON, payoffs=[[["3", "3"], ["0", "5"]], [["5", "0"], ["3", "3"]]])),
+    }
     env = dict(os.environ, PYTHONPATH=str(Path(ewlgames.__file__).parents[1]))
     # Block-buffered, as by default: bytes left in the buffer would fail again
     # at interpreter exit.
     env.pop("PYTHONUNBUFFERED", None)
     read_end, write_end = os.pipe()
     os.close(read_end)
+    streams = {"stdout": subprocess.DEVNULL, "stderr": subprocess.PIPE, closed: write_end}
     try:
         result = subprocess.run(
-            [sys.executable, "-m", "ewlgames.cli", *argv],
-            env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+            [sys.executable, "-m", "ewlgames.cli", *[paths.get(arg, arg) for arg in argv]],
+            env=env, timeout=120, **streams,
         )
     finally:
         os.close(write_end)
     assert result.returncode == code
-    assert result.stderr == b""
+    # With standard output closed, standard error holds no traceback.
+    assert result.stderr in (None, b"")
 
 
 def _loaded_by_cli_import(module: str) -> str:
@@ -841,6 +933,24 @@ def test_cli_import_loads_no_module_a_command_may_not_need(module):
     # Records are named tuples, so nothing imports dataclasses, nor the
     # inspect it brings; json and csv are imported by the commands that use them.
     assert _loaded_by_cli_import(module) == "False"
+
+
+def test_namespace_reads_one_export_table():
+    for name in ewlgames.__all__:
+        module = importlib.import_module(f"ewlgames.{ewlgames._MODULE_OF[name]}")
+        assert getattr(ewlgames, name) is getattr(module, name), name
+    star: dict = {}
+    exec("from ewlgames import *", star)
+    assert sorted(set(star) - {"__builtins__"}) == ewlgames.__all__
+    assert set(ewlgames.__all__) <= set(dir(ewlgames))
+    with pytest.raises(AttributeError, match="has no attribute 'nowhere'"):
+        ewlgames.nowhere
+    # Each submodule is imported only when one of its names is first read.
+    env = dict(os.environ, PYTHONPATH=str(Path(ewlgames.__file__).parents[1]))
+    probe = "import sys, ewlgames; print([m for m in sys.modules if m.startswith('ewlgames.')])"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, timeout=60)
+    assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
 
 
 # --- fuzzing: any angle string or JSON document ends in a clean exit -----------
