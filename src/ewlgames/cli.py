@@ -9,6 +9,7 @@ float-built game without opting in).
 from __future__ import annotations
 
 import argparse
+import errno
 import io
 import math
 import os
@@ -45,31 +46,18 @@ class CliError(Exception):
         self.code = code
 
 
-def _load_json(path: str) -> dict:
-    # json, and csv in cmd_sweep, are imported where they run, so that
-    # commands that read or write neither do not load them.
-    import json
-
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}", EXIT_BAD_INPUT) from exc
-    except ValueError as exc:  # also an integer literal too long to read
-        raise CliError(f"{path} is not valid JSON: {exc}", EXIT_BAD_INPUT) from exc
-
-
 @contextmanager
-def _rendering():
-    """Make a value with too many digits to print, inside the block, an input error.
-
-    Commands return their output as text and only `main` writes it, so such
-    a value leaves no partial output behind.
-    """
+def _failing(code: int, prefix: str = "", errors=ValueError):
+    """Raise ``errors`` from inside the block as a `CliError` with ``code`` and ``prefix``."""
     try:
         yield
-    except ValueError as exc:  # str() of an int beyond sys.get_int_max_str_digits()
-        raise CliError(f"a value has too many digits to print: {exc}", EXIT_BAD_INPUT) from exc
+    except errors as exc:
+        raise CliError(prefix + str(exc), code) from exc
+
+
+# For the ValueError of str() on an int beyond sys.get_int_max_str_digits().
+# Commands only return text, so such a value leaves no partial output behind.
+_TOO_LONG = "a value has too many digits to print: "
 
 
 def _json_text(data: dict) -> str:
@@ -78,15 +66,28 @@ def _json_text(data: dict) -> str:
     return json.dumps(data, indent=2) + "\n"
 
 
-def _drop(fd: int) -> None:
-    """Send ``fd`` to devnull once its reader has gone (`| head -1`).
+def _send(stream, text: str, name: str | None = None) -> None:
+    """Write ``text`` to ``stream`` and flush it.
 
-    The flush at interpreter exit then cannot fail again, and the command
-    keeps its exit code.
+    A stream that is None, one the process started without, is skipped.  A
+    failed write sends the stream's descriptor to devnull, so the flush at
+    interpreter exit cannot fail again.  Where the reader has gone (``EPIPE``)
+    or the descriptor cannot be written (``EBADF``), that is all.  Any other
+    failure is an input error naming ``name``; standard error has none, since
+    it has nowhere to report it.
     """
-    devnull = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(devnull, fd)
-    os.close(devnull)
+    if stream is None:
+        return
+    try:
+        if text:  # an empty write can still reach the descriptor, and fail there
+            stream.write(text)
+        stream.flush()
+    except OSError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+        if name is not None and exc.errno not in (errno.EPIPE, errno.EBADF):
+            raise CliError(f"cannot write {name}: {exc.strerror}", EXIT_BAD_INPUT) from exc
 
 
 def _write_through(path: str) -> int | None:
@@ -129,19 +130,18 @@ def _write_output(path: str, text: str) -> None:
     writing (``/dev/stdout``, ``/dev/fd/3``, or the file a descriptor is
     redirected to), through that descriptor: replacing the file would leave
     the descriptor writing to an unlinked one.  The error names ``path`` and
-    the OS reason, never the temporary file.
+    the OS reason, never the temporary file.  An empty ``path`` names no
+    file.
     """
-    target = os.path.realpath(path)
     try:
+        if not path:  # realpath would read it as the working directory
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT))
+        target = os.path.realpath(path)
         if (fd := _write_through(path)) is not None:
-            if sys.stdout:  # None if the process started with descriptor 1 closed
-                sys.stdout.flush()  # so earlier output stays first; stderr is line-buffered
-            data = text.encode("utf-8")
-            try:
-                while data:
-                    data = data[os.write(fd, data):]
-            except BrokenPipeError:
-                _drop(fd)  # the reader has gone, as below in `main`
+            # Earlier output stays first; standard error is line-buffered.
+            _send(sys.stdout, "", "standard output")
+            with open(fd, "w", newline="", encoding="utf-8", closefd=False) as handle:
+                _send(handle, text, path)
             return
         try:
             mode = os.stat(target).st_mode
@@ -164,7 +164,8 @@ def _write_output(path: str, text: str) -> None:
             os.unlink(tmp)
             raise
     except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc.strerror}", EXIT_BAD_INPUT) from exc
+        raise CliError(f"cannot write {path or repr(path)}: {exc.strerror}",
+                       EXIT_BAD_INPUT) from exc
 
 
 def _check_tol(tol: float) -> None:
@@ -178,22 +179,25 @@ def _check_count(option: str, value: int) -> None:
 
 
 def _load_game(path: str) -> tuple[BimatrixGame, dict]:
-    data = _load_json(path)
-    try:
+    # json, and csv in cmd_sweep, are imported where they run, so that
+    # commands that read or write neither do not load them.
+    import json
+
+    # A ValueError is also an integer literal too long to read.
+    with (_failing(EXIT_BAD_INPUT, f"{path} is not valid JSON: "),
+          _failing(EXIT_BAD_INPUT, f"cannot read {path}: ", OSError),
+          open(path, "r", encoding="utf-8") as handle):
+        data = json.load(handle)
+    with _failing(EXIT_BAD_INPUT, f"{path} is not a valid game file: ",
+                  (ValueError, TypeError, ZeroDivisionError)):
         return game_from_json_dict(data), data
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise CliError(f"{path} is not a valid game file: {exc}", EXIT_BAD_INPUT) from exc
 
 
 def _params_from_args(args) -> UnitaryParams:
-    try:
+    with _failing(EXIT_BAD_INPUT):
         angles = [parse_angle(tok) for tok in (args.theta, args.alpha, args.beta)]
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_BAD_INPUT) from exc
-    try:
+    with _failing(EXIT_DOMAIN):
         return params_from_angles(*angles)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_DOMAIN) from exc
 
 
 def _fmt(value: Fraction, exact: bool) -> str:
@@ -248,14 +252,12 @@ def _class_line(params: UnitaryParams) -> str:
 def cmd_extend(args) -> tuple[int, str, str | None]:
     game, _ = _load_game(args.game)
     params = _params_from_args(args)
-    try:
+    with _failing(EXIT_DOMAIN):
         ext = build_extension(game, params)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_DOMAIN) from exc
-    with _rendering():
+    with _failing(EXIT_BAD_INPUT, _TOO_LONG):
         text = (f"{_game_table(ext.game, ext.exact)}\n"
                 f"{_class_line(params)}  exact: {'true' if ext.exact else 'false'}\n")
-        saved = _json_text(extended_to_json_dict(ext)) if args.out else None
+        saved = _json_text(extended_to_json_dict(ext)) if args.out is not None else None
     return EXIT_OK, text, saved
 
 
@@ -287,9 +289,9 @@ def cmd_solve(args) -> tuple[int, str, str | None]:
     from .nash import report_to_json_dict, support_enumeration
 
     report = support_enumeration(game)
-    with _rendering():
+    with _failing(EXIT_BAD_INPUT, _TOO_LONG):
         text = _report_text(report, game, exact) + "\n"
-        saved = _json_text(report_to_json_dict(report, game)) if args.out else None
+        saved = _json_text(report_to_json_dict(report, game)) if args.out is not None else None
     return EXIT_OK, text, saved
 
 
@@ -311,10 +313,8 @@ def cmd_isocheck(args) -> tuple[int, str, str | None]:
             "  cols: " + ", ".join(f"{x} -> {y}" for x, y in bijection.col_map),
         ]
     if params is not None:
-        try:
+        with _failing(EXIT_DOMAIN):
             invariant = empirical_invariance(game_a, params)
-        except ValueError as exc:
-            raise CliError(str(exc), EXIT_DOMAIN) from exc
         lines.append(f"extension of {args.game_a} invariant under relabelings: "
                      f"{'yes' if invariant else 'no'}")
     return EXIT_OK, "\n".join(lines) + "\n", None
@@ -329,10 +329,8 @@ def _angle_list(raw: str, part) -> list[tuple[str, Fraction | float, tuple | Non
     """
     if not isinstance(raw, str):  # argparse reads "--thetas=--" as []
         raise CliError(f"cannot parse angle list {raw!r}", EXIT_BAD_INPUT)
-    try:
+    with _failing(EXIT_BAD_INPUT):
         angles = [(tok.strip(), parse_angle(tok)) for tok in raw.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_BAD_INPUT) from exc
     if not angles:
         raise CliError(f"angle list {raw!r} holds no angle", EXIT_BAD_INPUT)
     reduced = []
@@ -346,10 +344,8 @@ def _angle_list(raw: str, part) -> list[tuple[str, Fraction | float, tuple | Non
 
 def _sweep_row(game: BimatrixGame, params: UnitaryParams, allow_float_solve: bool) -> list[str]:
     """The class, equilibrium counts and first equilibrium's payoffs of one sweep point."""
-    try:
+    with _failing(EXIT_DOMAIN):
         ext = build_extension(game, params)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_DOMAIN) from exc
     kind = classify(params).kind.value
     if not (ext.exact or allow_float_solve):
         return [kind, "", "", "", ""]
@@ -361,7 +357,7 @@ def _sweep_row(game: BimatrixGame, params: UnitaryParams, allow_float_solve: boo
         first = report.pure[0][2]
     elif report.mixed:
         first = report.mixed[0][1]
-    with _rendering():
+    with _failing(EXIT_BAD_INPUT, _TOO_LONG):
         pays = [_fmt(v, ext.exact) for v in first] if first else ["", ""]
     return [kind, str(len(report.pure)), str(len(report.mixed)), *pays]
 
@@ -392,16 +388,14 @@ def cmd_sweep(args) -> tuple[int, str, str | None]:
             params = UnitaryParams.from_parts(t, a, b)
         else:
             # A float angle, or a theta out of range, which this reports.
-            try:
+            with _failing(EXIT_DOMAIN):
                 params = params_from_angles(theta, alpha, beta)
-            except ValueError as exc:
-                raise CliError(str(exc), EXIT_DOMAIN) from exc
         key = outcome_weights(params)
         row = rows.get(key)
         if row is None:
             row = rows[key] = _sweep_row(game, params, args.allow_float_solve)
         writer.writerow([t_tok, a_tok, b_tok, *row])
-    if args.out:
+    if args.out is not None:
         return EXIT_OK, "", buffer.getvalue()
     return EXIT_OK, buffer.getvalue(), None
 
@@ -429,7 +423,7 @@ def cmd_reproduce(args) -> tuple[int, str, str | None]:
             raise CliError("--pd-file must hold a 2x2 game", EXIT_DOMAIN)
     from .selfcheck import run_reference_suite
 
-    with _rendering():
+    with _failing(EXIT_BAD_INPUT, _TOO_LONG):
         claims = run_reference_suite(pd)
     all_ok = all(c.ok for c in claims)
     code = EXIT_OK if all_ok else EXIT_SUITE_FAILED
@@ -518,7 +512,10 @@ def main(argv=None) -> int:
     nothing themselves.  A `CliError` from the command or from the ``-o``
     write leaves standard output empty and any ``-o`` target as it was, and
     drops the command's warnings; otherwise each is one ``warning:`` line.
-    A standard stream whose reader has gone is dropped, and the exit code kept.
+    Every stream is written by `_send`.  One whose reader has gone, or whose
+    descriptor cannot be written, is dropped and the exit code kept; any other
+    failure to write standard output or an ``-o`` descriptor is exit 2 with one
+    ``error: cannot write`` line, and standard error drops it.
     """
     args = build_parser().parse_args(argv)
     try:
@@ -527,14 +524,11 @@ def main(argv=None) -> int:
             code, text, saved = args.func(args)
         if saved is not None:
             _write_output(args.out, saved)
-        notes = "".join(f"warning: {warning.message}\n" for warning in caught)
+        _send(sys.stderr, "".join(f"warning: {warning.message}\n" for warning in caught))
+        _send(sys.stdout, text, "standard output")
     except CliError as exc:
-        code, text, notes = exc.code, "", f"error: {exc}\n"
-    for stream, out in ((sys.stderr, notes), (sys.stdout, text)):
-        try:
-            print(out, end="", file=stream, flush=True)
-        except BrokenPipeError:
-            _drop(stream.fileno())
+        code = exc.code
+        _send(sys.stderr, f"error: {exc}\n")
     return code
 
 

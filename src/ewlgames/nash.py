@@ -66,7 +66,8 @@ class EquilibriumReport(NamedTuple):
 
     The lists hold every extreme equilibrium; a pure one appears only in
     ``pure``.  ``degenerate`` means two listed equilibria share one player's
-    mixture, so the segment between them is in equilibrium too.
+    mixture, so the segment between them is in equilibrium too.  False says
+    only that no two do, not that the game is nondegenerate (see README).
     """
 
     pure: tuple[tuple[int, int, Payoff], ...]

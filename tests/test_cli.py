@@ -11,7 +11,7 @@ import stat
 import subprocess
 import sys
 import threading
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import ExitStack, redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -861,22 +861,41 @@ def test_identical_invocations_are_byte_identical(pd_file, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, closed, code",
+    "argv, fault, code, out, err",
     [
-        (["reproduce", "--json", "--pd-file", "{pd}"], "stdout", 0),
+        (["reproduce", "--json", "--pd-file", "{pd}"], "stdout pipe", 0, None, ""),
         # A (C, C) payoff of 4 fails the Q claim.
-        (["reproduce", "--json", "--pd-file", "{failing}"], "stdout", 1),
-        (["classify", "--theta", "9", "--alpha", "0", "--beta", "0"], "stderr", 3),
+        (["reproduce", "--json", "--pd-file", "{failing}"], "stdout pipe", 1, None, ""),
+        (["classify", "--theta", "9", "--alpha", "0", "--beta", "0"], "stderr pipe", 3, None, None),
         (["isocheck", "{tied}", "{tied}", "--theta", "1/2pi", "--alpha", "0", "--beta", "0"],
-         "stderr", 0),
+         "stderr pipe", 0, None, None),
         (["sweep", "{pd}", "--thetas", "1/2pi", "--alphas", "0", "--betas", "0",
-          "-o", "/dev/stderr"], "stderr", 0),
+          "-o", "/dev/stderr"], "stderr pipe", 0, None, None),
+        # sys.stderr is None, and print(file=None) would write to standard output.
+        (["classify", "--theta", "9", "--alpha", "0", "--beta", "0"], "stderr closed", 3, "", None),
+        # As a launcher can leave descriptor 2: every write to it fails with EBADF.
+        (["classify", "--theta", "9", "--alpha", "0", "--beta", "0"], "stderr read-only", 3,
+         "", None),
+        (["classify", "--theta", "1/2pi", "--alpha", "0", "--beta", "0"], "stderr read-only", 0,
+         "class: TypeI (k=0, l=0)\n", None),
+        (["classify", "--theta", "1/2pi", "--alpha", "0", "--beta", "0"], "stdout full", 2, None,
+         "error: cannot write standard output: No space left on device\n"),
+        (["sweep", "{pd}", "--thetas", "1/2pi", "--alphas", "0", "--betas", "0",
+          "-o", "/dev/stdout"], "stdout full", 2, None,
+         "error: cannot write /dev/stdout: No space left on device\n"),
     ],
-    ids=["passing", "failing", "stderr-error", "stderr-warning", "stderr-output"],
+    ids=["passing", "failing", "stderr-error", "stderr-warning", "stderr-output",
+         "stderr-closed", "stderr-read-only-error", "stderr-read-only-output", "stdout-full",
+         "stdout-full-output"],
 )
-def test_closed_stdout_pipe_ends_quietly(write_json, argv, closed, code):
-    # The read end of the pipe is closed before the child starts, so the
-    # child's write to that stream always fails.
+def test_closed_stdout_pipe_ends_quietly(write_json, argv, fault, code, out, err):
+    # The child starts with ``fault`` on one standard stream: a pipe whose read
+    # end is already closed, the descriptor closed, a file open only for
+    # reading, or /dev/full.  Every write to that stream fails.  A stream
+    # checked against None is the faulty one, or one the test does not read.
+    stream, kind = fault.split()
+    if kind == "full" and not os.path.exists("/dev/full"):
+        pytest.skip("this system has no /dev/full")
     paths = {
         "{pd}": write_json("pd.json", PD_JSON),
         "{failing}": write_json("failing.json", dict(
@@ -885,22 +904,54 @@ def test_closed_stdout_pipe_ends_quietly(write_json, argv, closed, code):
             PD_JSON, payoffs=[[["3", "3"], ["0", "5"]], [["5", "0"], ["3", "3"]]])),
     }
     env = dict(os.environ, PYTHONPATH=str(Path(ewlgames.__file__).parents[1]))
-    # Block-buffered, as by default: bytes left in the buffer would fail again
-    # at interpreter exit.
     env.pop("PYTHONUNBUFFERED", None)
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    streams = {"stdout": subprocess.DEVNULL, "stderr": subprocess.PIPE, closed: write_end}
-    try:
-        result = subprocess.run(
-            [sys.executable, "-m", "ewlgames.cli", *[paths.get(arg, arg) for arg in argv]],
-            env=env, timeout=120, **streams,
-        )
-    finally:
-        os.close(write_end)
-    assert result.returncode == code
-    # With standard output closed, standard error holds no traceback.
-    assert result.stderr in (None, b"")
+    command = [sys.executable, "-m", "ewlgames.cli", *[paths.get(arg, arg) for arg in argv]]
+    if kind == "closed":
+        command = ["sh", "-c", 'exec "$@" 2>&-', "sh", *command]
+    streams = {"stdout": subprocess.DEVNULL if out is None else subprocess.PIPE,
+               "stderr": subprocess.PIPE, stream: subprocess.DEVNULL}
+    with ExitStack() as stack:
+        if kind == "pipe":
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            stack.callback(os.close, write_end)
+            streams[stream] = write_end
+        elif kind != "closed":
+            target, mode = (paths["{pd}"], "rb") if kind == "read-only" else ("/dev/full", "wb")
+            streams[stream] = stack.enter_context(open(target, mode))
+        # Block-buffered, as by default, bytes left in the buffer would fail
+        # again at interpreter exit; unbuffered, even an empty write reaches
+        # the descriptor.
+        for buffering in ({}, {"PYTHONUNBUFFERED": "1"}):
+            result = subprocess.run(command, env=env | buffering, timeout=120, **streams)
+            # With standard output faulty, standard error holds no traceback.
+            assert (result.returncode,
+                    None if out is None else result.stdout.decode(),
+                    None if err is None else result.stderr.decode()) == (code, out, err), buffering
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["extend", "{game}", "--theta", "0", "--alpha", "1/2pi", "--beta", "0"],
+        ["solve", "{game}"],
+        ["sweep", "{game}", "--thetas", "0", "--alphas", "0", "--betas", "0"],
+    ],
+    ids=["extend", "solve", "sweep"],
+)
+def test_empty_output_path_is_refused(pd_file, tmp_path, command):
+    # A child process in a folder of its own, so that nothing can be written
+    # as that folder or beside it, in its parent.
+    work = tmp_path / "work"
+    work.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(Path(ewlgames.__file__).parents[1]))
+    argv = [pd_file if arg == "{game}" else arg for arg in command]
+    child = subprocess.run([sys.executable, "-m", "ewlgames.cli", *argv, "-o", ""], cwd=work,
+                           env=env, capture_output=True, text=True, timeout=120)
+    assert (child.returncode, child.stdout, child.stderr) == (
+        2, "", "error: cannot write '': No such file or directory\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pd.json", "work"]
+    assert list(work.iterdir()) == []
 
 
 def _loaded_by_cli_import(module: str) -> str:
