@@ -320,12 +320,25 @@ def cmd_isocheck(args) -> tuple[int, str, str | None]:
     return EXIT_OK, "\n".join(lines) + "\n", None
 
 
-def _angle_list(raw: str, part) -> list[tuple[str, Fraction | float, tuple | None]]:
+def _sixths(t: Fraction) -> int | None:
+    """theta = t*pi in sixths of pi, where it is on the exact grid (`UnitaryParams.grid_point`)."""
+    return t.numerator * (6 // t.denominator) if t.denominator <= 3 else None
+
+
+def _quarters(a: Fraction) -> int | None:
+    """alpha or beta = a*pi in quarters of pi mod 4, where it is on the exact grid."""
+    return a.numerator * (4 // a.denominator) % 4 if 4 % a.denominator == 0 else None
+
+
+def _angle_list(
+    raw: str, part, place
+) -> list[tuple[str, Fraction | float, tuple | None, int | None]]:
     """The non-empty comma-separated tokens of ``raw``, stripped, each with its parsed angle.
 
     Each exact angle also carries ``part(angle)``, its reduction by
-    `UnitaryParams.theta_part` or `UnitaryParams.phase_part`.  A float angle,
-    or an exact one that ``part`` rejects, carries None instead.
+    `UnitaryParams.theta_part` or `UnitaryParams.phase_part`, and ``place``
+    of that reduced multiple of pi: `_sixths` or `_quarters`.  A float angle,
+    or an exact one that ``part`` rejects, carries None for both.
     """
     if not isinstance(raw, str):  # argparse reads "--thetas=--" as []
         raise CliError(f"cannot parse angle list {raw!r}", EXIT_BAD_INPUT)
@@ -336,9 +349,11 @@ def _angle_list(raw: str, part) -> list[tuple[str, Fraction | float, tuple | Non
     reduced = []
     for tok, angle in angles:
         try:
-            reduced.append((tok, angle, part(angle) if isinstance(angle, Fraction) else None))
+            reduced_angle = part(angle) if isinstance(angle, Fraction) else None
         except ValueError:
-            reduced.append((tok, angle, None))
+            reduced_angle = None
+        at = place(reduced_angle[0]) if reduced_angle else None
+        reduced.append((tok, angle, reduced_angle, at))
     return reduced
 
 
@@ -368,8 +383,10 @@ def cmd_sweep(args) -> tuple[int, str, str | None]:
         raise CliError(f"sweep needs a 2x2 game, got {game.shape}", EXIT_DOMAIN)
     # Every token is parsed, and every exact one reduced, before any point is
     # solved.
-    thetas = _angle_list(args.thetas, UnitaryParams.theta_part)
-    alphas, betas = [_angle_list(raw, UnitaryParams.phase_part) for raw in (args.alphas, args.betas)]
+    thetas = _angle_list(args.thetas, UnitaryParams.theta_part, _sixths)
+    alphas, betas = [
+        _angle_list(raw, UnitaryParams.phase_part, _quarters) for raw in (args.alphas, args.betas)
+    ]
 
     import csv
 
@@ -381,19 +398,32 @@ def cmd_sweep(args) -> tuple[int, str, str | None]:
     # A row after its angles depends only on the operator's outcome-weight
     # table, so each table is built, classified and solved once.  The key
     # holds `exact` too, because int and float tables can compare equal.
-    # The memo belongs to this call, so it never outgrows one sweep.
+    # On the exact grid the table is a function of the three tokens' places
+    # (`outcome_weights`), so a point whose place was seen reuses its row
+    # without building its operator.  Points with a float or off-grid token
+    # are built one by one: float tables at a and a + pi can differ in the
+    # last bit.  The memos belong to this call, so they never outgrow one
+    # sweep.
     rows: dict[tuple, list[str]] = {}
-    for (t_tok, theta, t), (a_tok, alpha, a), (b_tok, beta, b) in product(thetas, alphas, betas):
-        if t and a and b:
-            params = UnitaryParams.from_parts(t, a, b)
-        else:
-            # A float angle, or a theta out of range, which this reports.
-            with _failing(EXIT_DOMAIN):
-                params = params_from_angles(theta, alpha, beta)
-        key = outcome_weights(params)
-        row = rows.get(key)
+    by_place: dict[tuple[int, int, int], list[str]] = {}
+    for (t_tok, theta, t, ts), (a_tok, alpha, a, qa), (b_tok, beta, b, qb) in product(
+        thetas, alphas, betas
+    ):
+        place = (ts, qa, qb)
+        row = by_place.get(place)
         if row is None:
-            row = rows[key] = _sweep_row(game, params, args.allow_float_solve)
+            if t and a and b:
+                params = UnitaryParams.from_parts(t, a, b)
+            else:
+                # A float angle, or a theta out of range, which this reports.
+                with _failing(EXIT_DOMAIN):
+                    params = params_from_angles(theta, alpha, beta)
+            key = outcome_weights(params)
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = _sweep_row(game, params, args.allow_float_solve)
+            if None not in place:
+                by_place[place] = row
         writer.writerow([t_tok, a_tok, b_tok, *row])
     if args.out is not None:
         return EXIT_OK, "", buffer.getvalue()

@@ -166,8 +166,9 @@ class StrategyBijection(NamedTuple):
 
 def _integer_matrix(values: list[list[Fraction]]) -> tuple[list[list[int]], int]:
     """The matrix times the lcm of its denominators, and that lcm."""
-    scale = math.lcm(*(v.denominator for row in values for v in row))
-    return [[v.numerator * (scale // v.denominator) for v in row] for row in values], scale
+    ratios = [[v.as_integer_ratio() for v in row] for row in values]
+    scale = math.lcm(*[d for row in ratios for _, d in row])
+    return [[n * (scale // d) for n, d in row] for row in ratios], scale
 
 
 def find_isomorphism(

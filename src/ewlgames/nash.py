@@ -14,11 +14,14 @@ uniqueness proof by exhaustion.
 
 The enumeration runs in integers.  Each player's payoffs are multiplied by
 the lcm of their denominators and shifted, which leaves every equilibrium
-unchanged.  Every vertex solves one square system by Cramer's rule over one
-table of the minors of ``[C | 1]`` (rows: the opponent's kept strategies;
-columns: the player's own, then ones), each built once by Laplace expansion
-along its last row.  Its slacks are read off the same table, one size up,
-as bordered minors.  `Fraction` appears only in the report.
+unchanged.  Every vertex solves one square system by Cramer's rule over the
+minors of ``[C | 1]`` (rows: the opponent's kept strategies; columns: the
+player's own, then ones).  They are built level by level, one flat list per
+size, each level from the one below by Laplace expansion along the last
+row, and read by address.  A vertex's slacks are read off the next level
+as bordered minors.  In a symmetric game (B = A^T) where both players keep
+the same strategies, the two polytopes are one, and it is enumerated once.
+`Fraction` appears only in the report.
 
 In a degenerate game two extreme equilibria share one player's mixture, so
 the segment between them is in equilibrium too; the report then lists the
@@ -32,6 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
+from operator import add, gt, itemgetter, mul, sub
 from typing import NamedTuple
 
 from .games import BimatrixGame, Payoff, _integer_matrix
@@ -140,7 +144,7 @@ def _positive_matrix(values: list[list[Fraction]]) -> tuple[list[list[int]], int
     Returns the matrix, the scale and the shift.
     """
     ints, scale = _integer_matrix(values)
-    shift = 1 - min(min(row) for row in ints)
+    shift = 1 - min(map(min, ints))
     return [[v + shift for v in row] for row in ints], scale, shift
 
 
@@ -166,42 +170,79 @@ def _undominated(
 
 def _dominated(payoffs: list[list[int]], own: int, mine: list[int], theirs: list[int]) -> bool:
     """Whether ``payoffs[own]`` is strictly below another of ``mine`` at every one of ``theirs``."""
-    row = payoffs[own]
-    return any(all(payoffs[k][t] > row[t] for t in theirs) for k in mine)
+    # A getter of one index would give a bare value, not a tuple.
+    pick = itemgetter(*theirs) if len(theirs) > 1 else lambda row: (row[theirs[0]],)
+    row = pick(payoffs[own])
+    return any(all(map(gt, pick(payoffs[k]), row)) for k in mine)
 
 
 @lru_cache(maxsize=128)
-def _cramer_plan(opponent: tuple[int, ...], n_cols: int) -> list[tuple[list, list, list]]:
-    """Per size k, the row sets, column sets and supports of `_vertices`, as bitmasks.
+def _cramer_plan(opponent: tuple[int, ...], n_cols: int) -> list[tuple]:
+    """Per size k, the flat addresses at which `_vertices` builds and reads the minors of size k.
 
-    Row r is the opponent's strategy r, on bit r, so a row set is also a
-    label mask.  Sizes run to min(rows, n_cols + 1), one past the largest
-    support, for the bordered minors.  A row set K carries its last row and
-    its borders: for each other row r, r's bit, K + r and the sign
-    (-1)^(rows of K after r) of moving r to the bottom, as is and negated
-    (for a negative M(K, S)).  Column ``n_cols`` is the ones.  A column set
-    carries its Laplace terms along the last row; a support its Cramer
-    columns, with the ones at position j, and itself plus the ones.  Both
-    sign position j by (-1)^(k - 1 + j), which for Cramer is the parity of
-    the k - 1 - j swaps that move the ones to the end.
+    The minors of ``[C | 1]`` of size k (rows: the kept constraints, by
+    position in ``opponent``; columns: the ``n_cols`` own strategies, then
+    the ones) form one flat list, row set by row set, each row set's column
+    sets in `combinations` order.  Sizes run to min(rows, n_cols + 1), one
+    past the largest support, for the bordered minors.  Size 1 is the matrix
+    itself.  Each level past it carries two gathers and the signs of its
+    Laplace expansion along the last row: for each minor in order, its k
+    entries of that row and the k minors of size k - 1 they multiply, so the
+    products of term j are the stride-k slice from j, and term j is signed
+    (-1)^(k - 1 + j).  Each level also carries its systems, support by
+    support: for each row set K, the addresses of M(K, S) and of each Cramer
+    numerator with its sign (the ones at position j, signed as term j by the
+    parity of the k - 1 - j swaps that move the ones to the end), K's label
+    mask (bit opponent[r] for each row r in K), and K's borders.  A border
+    of K is, for each other row r, r's bit, the address of M(K + r, S +
+    ones) one size up and the sign (-1)^(rows of K after r) of moving r to
+    the bottom, as is and negated (for a negative M(K, S)).
     """
+    width = n_cols + 1
+    sizes = range(1, min(len(opponent), width) + 1)
+    row_sets = [[()]] + [list(combinations(range(len(opponent)), k)) for k in sizes]
+    col_sets = [[()]] + [list(combinations(range(width), k)) for k in sizes]
+    row_at = {rows: i for level in row_sets for i, rows in enumerate(level)}
+    col_at = {cols: i for level in col_sets for i, cols in enumerate(level)}
+
+    def address(rows, cols):
+        return row_at[rows] * len(col_sets[len(rows)]) + col_at[cols]
+
     plan = []
-    for k in range(1, min(len(opponent), n_cols + 1) + 1):
-        expansion, supports = [], []
-        for cols in combinations(range(n_cols + 1), k):
-            mask = sum(1 << c for c in cols)
-            terms = [(c, 1 << c, (-1) ** (k - 1 + j)) for j, c in enumerate(cols)]
-            expansion.append((mask, terms))
-            if n_cols not in cols:
-                cramer = [(mask ^ bit | 1 << n_cols, sign) for _, bit, sign in terms]
-                supports.append((cols, mask, mask | 1 << n_cols, cramer))
-        row_sets = []
-        for rows in combinations(opponent, k):
-            mask = sum(1 << r for r in rows)
-            signs = [(1 << r, (-1) ** sum(s > r for s in rows)) for r in opponent if r not in rows]
-            borders = [[(bit, mask | bit, sign * flip) for bit, sign in signs] for flip in (1, -1)]
-            row_sets.append((mask, max(rows), borders))
-        plan.append((row_sets, expansion, supports))
+    for k in sizes:
+        expansion = None
+        if k > 1:
+            entries, smaller = [], []
+            for rows in row_sets[k]:
+                for cols in col_sets[k]:
+                    for j, c in enumerate(cols):
+                        entries.append(rows[-1] * width + c)
+                        smaller.append(address(rows[:-1], cols[:j] + cols[j + 1:]))
+            # Term k - 1 is positive; the ones before it alternate in sign.
+            ops = [(j, sub if (k - 1 - j) % 2 else add) for j in range(k - 2, -1, -1)]
+            expansion = (itemgetter(*entries), itemgetter(*smaller), ops)
+        supports = []
+        for support in combinations(range(n_cols), k):
+            bordered = support + (n_cols,)
+            cramer = [
+                (support[:j] + support[j + 1:] + (n_cols,), (-1) ** (k - 1 + j))
+                for j in range(k)
+            ]
+            systems = []
+            for rows in row_sets[k]:
+                others = [
+                    (1 << opponent[r], address(tuple(sorted(rows + (r,))), bordered),
+                     (-1) ** sum(s > r for s in rows))
+                    for r in range(len(opponent)) if r not in rows
+                ]
+                systems.append((
+                    address(rows, support),
+                    [(address(rows, cols), sign) for cols, sign in cramer],
+                    sum(1 << opponent[r] for r in rows),
+                    [[(bit, at, sign * flip) for bit, at, sign in others] for flip in (1, -1)],
+                ))
+            supports.append((support, systems))
+        plan.append((expansion, supports))
     return plan
 
 
@@ -224,29 +265,31 @@ def _vertices(
     opponent's best response.
     """
     vertices: dict[_Vertex, tuple[int, int]] = {}
-    matrix = {k: [constraints[k][i] for i in own] + [1] for k in opponent}
+    matrix = []
+    for k in opponent:
+        row = constraints[k]
+        matrix += [row[i] for i in own]
+        matrix.append(1)
     plan = _cramer_plan(tuple(opponent), len(own))
-    # minors[R][C]: the minor on the rows in R and the columns in C.
-    minors = {0: {0: 1}}
-    for row_sets, expansion, _ in plan:
-        for rows, last, _ in row_sets:
-            entries, smaller = matrix[last], minors[rows ^ 1 << last]
-            minors[rows] = {
-                cols: sum(sign * entries[c] * smaller[cols ^ bit] for c, bit, sign in terms)
-                for cols, terms in expansion
-            }
-    for row_sets, _, supports in plan:
-        for support, cols, bordered, cramer in supports:
-            for rows, _, borders in row_sets:
-                table = minors[rows]
-                if not (den := table[cols]):
+    # tables[k - 1]: the minors of size k, at the plan's flat addresses.
+    tables = [matrix]
+    for k, (expansion, _) in enumerate(plan[1:], 2):
+        entries, smaller, ops = expansion
+        terms = list(map(mul, entries(matrix), smaller(tables[-1])))
+        table = terms[k - 1::k]
+        for j, op in ops:
+            table = map(op, table, terms[j::k])
+        tables.append(list(table))
+    for (_, supports), table, wider in zip(plan, tables, tables[1:] + [None]):
+        for support, systems in supports:
+            for at, cramer, best, borders in systems:
+                if not (den := table[at]):
                     continue
                 nums = [sign * table[c] for c, sign in cramer]
                 if min(nums) < 0 if den > 0 else max(nums) > 0:  # x has a negative entry
                     continue
-                best = rows
-                for bit, wider, sign in borders[den < 0]:
-                    if (slack := sign * minors[wider][bordered]) < 0:
+                for bit, wider_at, sign in borders[den < 0]:
+                    if (slack := sign * wider[wider_at]) < 0:
                         break
                     if not slack:
                         best |= bit
@@ -277,8 +320,10 @@ def support_enumeration(game: BimatrixGame) -> EquilibriumReport:
     # it is never a best response, so its constraint is never tight.
     rows, cols = _undominated(a_by_row, b_by_col)
     # Player 1's polytope is {x >= 0 : B^T x <= 1}, player 2's {y >= 0 : A y <= 1}.
+    # In a symmetric game (B = A^T) whose two players keep the same
+    # strategies, both calls would be the same, so one polytope serves both.
     xs = _vertices(b_by_col, n, rows, cols)
-    ys = _vertices(a_by_row, m, cols, rows)
+    ys = xs if (a_by_row, cols) == (b_by_col, rows) else _vertices(a_by_row, m, cols, rows)
 
     # A vertex pair is an equilibrium when every pure strategy is unplayed or
     # a best response to the other vertex.

@@ -13,10 +13,13 @@ pass.
 `eliminate` and `vertices` are the vertex enumeration `ewlgames.nash` ran
 before it solved each system by Cramer's rule over a table of minors: one
 fraction-free Gauss-Jordan elimination per system.  `dot_product_vertices`
-at the end is the Cramer enumeration `ewlgames.nash` ran before it read each
-vertex's slacks off bordered minors: it computes them by dot products.
-Both are oracles for `nash._vertices`, which must return exactly their dict
-of vertices and labels.
+is the Cramer enumeration `ewlgames.nash` ran before it read each vertex's
+slacks off bordered minors: it computes them by dot products.
+`laplace_vertices` at the end is the one it ran before it built its minors
+level by level in flat tables: one dict of minors per row set, one
+`sum` per minor.  All three are oracles for `nash._vertices`, which must
+return exactly their dict of vertices and labels, and in the order of the
+last two.
 """
 
 from __future__ import annotations
@@ -402,4 +405,97 @@ def dot_product_vertices(
                 best = sum(1 << j for j, s in zip(opponent, slack) if s == 0)
                 unplayed = sum(1 << i for i, v in enumerate(x) if v == 0)
                 vertices[tuple(x), den] = (unplayed, best)
+    return vertices
+
+
+# --- Cramer's rule over dict-keyed minors, with bordered slacks -----------------
+
+
+@lru_cache(maxsize=64)
+def _laplace_plan(opponent: tuple[int, ...], n_cols: int) -> list[tuple[list, list, list]]:
+    """Per size k, the row sets, column sets and supports of `laplace_vertices`, as bitmasks.
+
+    Row r is the opponent's strategy r, on bit r, so a row set is also a
+    label mask.  Sizes run to min(rows, n_cols + 1), one past the largest
+    support, for the bordered minors.  A row set K carries its last row and
+    its borders: for each other row r, r's bit, K + r and the sign
+    (-1)^(rows of K after r) of moving r to the bottom, as is and negated
+    (for a negative M(K, S)).  Column ``n_cols`` is the ones.  A column set
+    carries its Laplace terms along the last row; a support its Cramer
+    columns, with the ones at position j, and itself plus the ones.  Both
+    sign position j by (-1)^(k - 1 + j), which for Cramer is the parity of
+    the k - 1 - j swaps that move the ones to the end.
+    """
+    plan = []
+    for k in range(1, min(len(opponent), n_cols + 1) + 1):
+        expansion, supports = [], []
+        for cols in combinations(range(n_cols + 1), k):
+            mask = sum(1 << c for c in cols)
+            terms = [(c, 1 << c, (-1) ** (k - 1 + j)) for j, c in enumerate(cols)]
+            expansion.append((mask, terms))
+            if n_cols not in cols:
+                cramer = [(mask ^ bit | 1 << n_cols, sign) for _, bit, sign in terms]
+                supports.append((cols, mask, mask | 1 << n_cols, cramer))
+        row_sets = []
+        for rows in combinations(opponent, k):
+            mask = sum(1 << r for r in rows)
+            signs = [(1 << r, (-1) ** sum(s > r for s in rows)) for r in opponent if r not in rows]
+            borders = [[(bit, mask | bit, sign * flip) for bit, sign in signs] for flip in (1, -1)]
+            row_sets.append((mask, max(rows), borders))
+        plan.append((row_sets, expansion, supports))
+    return plan
+
+
+def laplace_vertices(
+    constraints: list[list[int]], size: int, own: list[int], opponent: list[int]
+) -> dict[tuple[tuple[int, ...], int], tuple[int, int]]:
+    """The nonzero vertices of ``{x >= 0 : c . x <= 1 for c in constraints}``, with labels.
+
+    ``constraints[k][i]`` is the opponent's positive payoff for its pure
+    strategy k when this player plays i.  Only the strategies ``own`` of
+    this player and ``opponent`` of the opponent take part: x is zero off
+    ``own``, and the other constraints are dropped and never tight.  Every
+    vertex solves ``c . x = 1`` over some set K of constraints, with x zero
+    off some support S of the same size, so every such (S, K) is solved by
+    Cramer's rule.  By the Schur complement, M(K + r, S + ones) with row r
+    moved to the bottom is M(K, S) (1 - c_r . x), so each other kept
+    constraint r is tight where that minor is zero and violated where it has
+    the wrong sign.  Labels: the first mask has bit i set where x_i = 0, the
+    second bit k where constraint k is tight, that is where k is the
+    opponent's best response.
+    """
+    vertices: dict[tuple[tuple[int, ...], int], tuple[int, int]] = {}
+    matrix = {k: [constraints[k][i] for i in own] + [1] for k in opponent}
+    plan = _laplace_plan(tuple(opponent), len(own))
+    # minors[R][C]: the minor on the rows in R and the columns in C.
+    minors = {0: {0: 1}}
+    for row_sets, expansion, _ in plan:
+        for rows, last, _ in row_sets:
+            entries, smaller = matrix[last], minors[rows ^ 1 << last]
+            minors[rows] = {
+                cols: sum(sign * entries[c] * smaller[cols ^ bit] for c, bit, sign in terms)
+                for cols, terms in expansion
+            }
+    for row_sets, _, supports in plan:
+        for support, cols, bordered, cramer in supports:
+            for rows, _, borders in row_sets:
+                table = minors[rows]
+                if not (den := table[cols]):
+                    continue
+                nums = [sign * table[c] for c, sign in cramer]
+                if min(nums) < 0 if den > 0 else max(nums) > 0:  # x has a negative entry
+                    continue
+                best = rows
+                for bit, wider, sign in borders[den < 0]:
+                    if (slack := sign * minors[wider][bordered]) < 0:
+                        break
+                    if not slack:
+                        best |= bit
+                else:
+                    g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)  # so den // g > 0
+                    x = [0] * size
+                    for i, v in zip(support, nums):
+                        x[own[i]] = v // g
+                    unplayed = sum(1 << i for i, v in enumerate(x) if v == 0)
+                    vertices[tuple(x), den // g] = (unplayed, best)
     return vertices

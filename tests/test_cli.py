@@ -11,6 +11,7 @@ import stat
 import subprocess
 import sys
 import threading
+from fractions import Fraction
 from contextlib import ExitStack, redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -57,7 +58,7 @@ def test_extend_q_operator(pd_file, write_json, tmp_path, capsys):
     )
     assert code == 0
     assert "NonInvariant" in out and "exact: true" in out
-    data = json.loads(open(out_path).read())
+    data = json.loads(Path(out_path).read_text())
     assert data["rows"] == ["I", "iX", "U"]
     assert data["payoffs"] == [
         [["3", "3"], ["0", "5"], ["1", "1"]],
@@ -278,7 +279,7 @@ def test_solve_full_support_game(write_json, tmp_path, capsys):
     assert code == 0
     assert "p1=(14/25, 2/25, 9/25)" in out
     assert "payoff (51/25, 51/25)" in out
-    report = json.loads(open(out_path).read())
+    report = json.loads(Path(out_path).read_text())
     assert report["pure"] == []
     assert report["mixed"] == [
         {
@@ -320,7 +321,7 @@ def test_off_grid_rational_angle_takes_the_float_route(pd_file, tmp_path, capsys
     )
     assert code == 0
     assert out.splitlines()[-1] == "class: NonInvariant  exact: false"
-    data = json.loads(open(ext_path).read())
+    data = json.loads(Path(ext_path).read_text())
     assert data["params"] == {"theta": "1/5pi", "alpha": "0", "beta": "0"}
     assert data["exact"] is False
     code, out, err = run(capsys, "solve", ext_path)
@@ -541,7 +542,7 @@ def test_failed_sweep_leaves_no_output(pd_file, tmp_path, capsys, thetas, code):
 def test_sweep_operators_equal_pointwise_operators(pd_file, capsys, monkeypatch):
     # Exact tokens outside their reduced range, near-grid floats that snap
     # onto the grid, and plain floats.
-    thetas = ["0", "1/3pi", "1/2pi", "pi", "1.5707963272", "0.8"]
+    thetas = ["0", "1/3pi", "1/2pi", "pi", "1.5707963272", "0.8", "1/6pi"]
     phases = ["-pi", "9/4pi", "2pi", "-1/4pi", "1/3pi", "0.7853981634", "1.1"]
     built = []
 
@@ -553,12 +554,31 @@ def test_sweep_operators_equal_pointwise_operators(pd_file, capsys, monkeypatch)
     code, out, _ = run(capsys, "sweep", pd_file, "--thetas", ",".join(thetas),
                        "--alphas=" + ",".join(phases), "--betas=" + ",".join(phases))
     assert code == 0
-    pointwise = [
-        ewlgames.params_from_angles(*map(ewlgames.parse_angle, point))
-        for point in itertools.product(thetas, phases, phases)
-    ]
+    points = list(itertools.product(thetas, phases, phases))
+    # A point whose three tokens are exact and on the grid is built only if
+    # no earlier such point has its theta in sixths and its alpha and beta
+    # in quarters mod 4; every other point is built.
+    pointwise, places = [], set()
+    for point in points:
+        angles = list(map(ewlgames.parse_angle, point))
+        params = ewlgames.params_from_angles(*angles)
+        place = params.grid_point if all(isinstance(v, Fraction) for v in angles) else None
+        if place is not None:
+            place = (place[0], place[1] % 4, place[2] % 4)
+            if place in places:
+                continue
+            places.add(place)
+        pointwise.append(params)
     assert built == pointwise
-    assert len(out.splitlines()) == 1 + len(pointwise)
+    assert len(places) < len(pointwise) < len(points)
+    monkeypatch.undo()
+    lines = out.splitlines()
+    assert len(lines) == 1 + len(points)
+    for point, line in zip(points, lines[1:]):
+        code, alone, _ = run(capsys, "sweep", pd_file, "--thetas", point[0],
+                             "--alphas=" + point[1], "--betas=" + point[2])
+        assert code == 0
+        assert alone.splitlines() == [lines[0], line]
 
 
 @pytest.mark.parametrize(

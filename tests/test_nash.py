@@ -1,5 +1,6 @@
 """Equilibrium solving: pure best responses and exact vertex enumeration."""
 
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -15,6 +16,7 @@ from ewlgames import (
     make_game,
     mixed_payoff,
     nash,
+    outcome_weights,
     pure_equilibria,
     random_generic_game,
     snapped,
@@ -525,21 +527,23 @@ def solver_matrices(game):
 
 
 def assert_vertices_match_oracle(game):
-    """Both players' `_vertices` equal both vertex oracles', dict for dict.
+    """Both players' `_vertices` equal all three vertex oracles', dict for dict.
 
-    The oracles are Gauss-Jordan elimination per system and Cramer's rule
-    with dot-product slacks; the second also finds the vertices in the same
-    order.  Each player's polytope is checked on the strategies that survive
-    strict dominance, as the solver sees it, and on every strategy.
+    The oracles are Gauss-Jordan elimination per system, Cramer's rule with
+    dot-product slacks, and Cramer's rule with bordered slacks over one dict
+    of minors per row set, each minor a Laplace sum; the last two also find
+    the vertices in the same order.  Each player's polytope is checked on
+    the strategies that survive strict dominance, as the solver sees it, and
+    on every strategy.
     """
     n, m = game.shape
     a_by_row, b_by_col = solver_matrices(game)
     for rows, cols in (nash._undominated(a_by_row, b_by_col), (list(range(n)), list(range(m)))):
         for args in ((b_by_col, n, rows, cols), (a_by_row, m, cols, rows)):
-            found = nash._vertices(*args)
-            expected = nash_oracle.dot_product_vertices(*args)
-            assert list(found.items()) == list(expected.items())
-            assert found == nash_oracle.vertices(*args)
+            found = list(nash._vertices(*args).items())
+            assert found == list(nash_oracle.laplace_vertices(*args).items())
+            assert found == list(nash_oracle.dot_product_vertices(*args).items())
+            assert dict(found) == nash_oracle.vertices(*args)
 
 
 @settings(max_examples=150, deadline=None)
@@ -583,3 +587,60 @@ def test_vertices_match_oracles_where_the_opponent_keeps_two_more_strategies():
         if abs(len(rows) - len(cols)) >= 2:
             wide[shape] += 1
             assert_vertices_match_oracle(game)
+
+
+# --- one polytope for both players of a symmetric game -------------------------
+
+
+def canonical_tables():
+    """One operator for each distinct outcome-weight table of the canonical sweep grid.
+
+    The grid is theta in {0, 1/3, 1/2, 2/3, 1}*pi, with alpha and beta over
+    the eight quarter-pi multiples.
+    """
+    thetas = [F(0), F(1, 3), F(1, 2), F(2, 3), F(1)]
+    quarters = [F(k, 4) for k in range(8)]
+    tables = {}
+    for point in itertools.product(thetas, quarters, quarters):
+        params = UnitaryParams.exact_pi(*point)
+        tables.setdefault(outcome_weights(params), params)
+    return list(tables.values())
+
+
+def symmetric_tie_heavy_games(seed, count):
+    """Seeded 3x3 games with A's payoffs in {0, 1, 2} and B = A^T."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        a = [[rng.randrange(3) for _ in range(3)] for _ in range(3)]
+        yield grid_game([(a[i][j], a[j][i]) for i in range(3) for j in range(3)], 3, 3)
+
+
+@pytest.mark.parametrize("swap_rows, calls", [(False, 1), (True, 2)], ids=["pd", "row-swapped-pd"])
+def test_symmetric_game_enumerates_one_polytope(pd, swap_rows, calls, monkeypatch):
+    # The PD's extension is symmetric and keeps the same strategies for both
+    # players, so one vertex enumeration serves both; its row swap is not.
+    game = make_game(pd.row_labels[::-1], pd.col_labels, pd.payoffs[::-1]) if swap_rows else pd
+    counted = []
+
+    def vertices(*args):
+        counted.append(args)
+        return original(*args)
+
+    original = nash._vertices
+    monkeypatch.setattr(nash, "_vertices", vertices)
+    tables = canonical_tables()
+    assert len(tables) == 45
+    for params in tables:
+        counted.clear()
+        assert_matches_oracle(build_extension(game, params).game)
+        assert len(counted) == calls
+
+
+def test_symmetric_tie_heavy_games_match_oracles():
+    for game in symmetric_tie_heavy_games(83, 100):
+        # Strict dominance removes the same strategies of both players, so
+        # the solver enumerates one polytope.
+        rows, cols = nash._undominated(*solver_matrices(game))
+        assert rows == cols
+        assert_matches_oracle(game)
+        assert_vertices_match_oracle(game)
