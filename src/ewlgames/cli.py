@@ -90,15 +90,11 @@ def _send(stream, text: str, name: str | None = None) -> None:
             raise CliError(f"cannot write {name}: {exc.strerror}", EXIT_BAD_INPUT) from exc
 
 
-def _write_through(path: str) -> int | None:
-    """A descriptor this process holds open for writing on the file ``path`` opens.
+def _write_through(opened: os.stat_result) -> int | None:
+    """A descriptor this process holds open for writing on the file whose stat is ``opened``.
 
     Where ``/dev/fd`` cannot be listed, only standard output and error are tried.
     """
-    try:
-        opened = os.stat(path)
-    except OSError:
-        return None
     try:
         listed = [int(fd) for fd in os.listdir("/dev/fd")]
     except OSError:
@@ -129,27 +125,28 @@ def _write_output(path: str, text: str) -> None:
     into it directly.  So is a target that this process holds open for
     writing (``/dev/stdout``, ``/dev/fd/3``, or the file a descriptor is
     redirected to), through that descriptor: replacing the file would leave
-    the descriptor writing to an unlinked one.  The error names ``path`` and
-    the OS reason, never the temporary file.  An empty ``path`` names no
-    file.
+    the descriptor writing to an unlinked one.  Both are written by `_send`,
+    so a FIFO whose reader has gone is dropped, as standard output is.  The
+    error names ``path`` and the OS reason, never the temporary file.  An
+    empty ``path`` names no file.
     """
     try:
         if not path:  # realpath would read it as the working directory
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT))
         target = os.path.realpath(path)
-        if (fd := _write_through(path)) is not None:
+        try:
+            # ``path``, not ``target``: /dev/stdout on a pipe resolves to no file.
+            found = os.stat(path)
+        except OSError:  # no target yet: the new file gets the umask's bits
+            found = None
+        mode = found.st_mode if found else 0
+        fd = _write_through(found) if found else None
+        if fd is not None or (mode and not (stat.S_ISREG(mode) or stat.S_ISDIR(mode))):
             # Earlier output stays first; standard error is line-buffered.
             _send(sys.stdout, "", "standard output")
-            with open(fd, "w", newline="", encoding="utf-8", closefd=False) as handle:
+            with open(target if fd is None else fd, "w", newline="", encoding="utf-8",
+                      closefd=fd is None) as handle:
                 _send(handle, text, path)
-            return
-        try:
-            mode = os.stat(target).st_mode
-        except OSError:  # no target yet: the new file gets the umask's bits
-            mode = 0
-        if mode and not (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):
-            with open(target, "w", newline="", encoding="utf-8") as handle:
-                handle.write(text)
             return
         folder, name = os.path.split(target)
         tmp = os.path.join(folder, f".{name}.{os.getpid()}.tmp")
@@ -544,8 +541,9 @@ def main(argv=None) -> int:
     drops the command's warnings; otherwise each is one ``warning:`` line.
     Every stream is written by `_send`.  One whose reader has gone, or whose
     descriptor cannot be written, is dropped and the exit code kept; any other
-    failure to write standard output or an ``-o`` descriptor is exit 2 with one
-    ``error: cannot write`` line, and standard error drops it.
+    failure to write standard output or an ``-o`` FIFO, device or descriptor
+    is exit 2 with one ``error: cannot write`` line, and standard error drops
+    it.
     """
     args = build_parser().parse_args(argv)
     try:

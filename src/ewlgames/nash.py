@@ -6,22 +6,20 @@ von Stengel, Economic Theory 42, 2010).  With payoffs shifted to be
 positive, player 1's polytope is {x >= 0 : B^T x <= 1} and player 2's is
 {y >= 0 : A y <= 1}.  A vertex pair whose labels cover every pure strategy
 (each strategy unplayed or a best response) is an extreme equilibrium, and
-its normalization is in the report.  Strictly dominated strategies are
-removed first, which leaves every equilibrium in place, and every vertex of
-the rest is enumerated.  So the search is complete for every shape,
-degenerate games included, and a report with a single equilibrium is a
-uniqueness proof by exhaustion.
+its normalization is in the report.  Every vertex of both polytopes, over
+every pure strategy, is enumerated, so the search is complete for every
+shape, degenerate games included, and a report with a single equilibrium
+is a uniqueness proof by exhaustion.
 
 The enumeration runs in integers.  Each player's payoffs are multiplied by
 the lcm of their denominators and shifted, which leaves every equilibrium
 unchanged.  Every vertex solves one square system by Cramer's rule over the
-minors of ``[C | 1]`` (rows: the opponent's kept strategies; columns: the
+minors of ``[C | 1]`` (rows: the opponent's strategies; columns: the
 player's own, then ones).  They are built level by level, one flat list per
 size, each level from the one below by Laplace expansion along the last
 row, and read by address.  A vertex's slacks are read off the next level
-as bordered minors.  In a symmetric game (B = A^T) where both players keep
-the same strategies, the two polytopes are one, and it is enumerated once.
-`Fraction` appears only in the report.
+as bordered minors.  In a symmetric game (B = A^T) the two polytopes are
+one, and it is enumerated once.  `Fraction` appears only in the report.
 
 In a degenerate game two extreme equilibria share one player's mixture, so
 the segment between them is in equilibrium too; the report then lists the
@@ -35,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
-from operator import add, gt, itemgetter, mul, sub
+from operator import add, itemgetter, mul, sub
 from typing import NamedTuple
 
 from .games import BimatrixGame, Payoff, _integer_matrix
@@ -148,59 +146,31 @@ def _positive_matrix(values: list[list[Fraction]]) -> tuple[list[list[int]], int
     return [[v + shift for v in row] for row in ints], scale, shift
 
 
-def _undominated(
-    a_by_row: list[list[int]], b_by_col: list[list[int]]
-) -> tuple[list[int], list[int]]:
-    """The rows and columns that survive iterated elimination of strictly dominated strategies.
-
-    A strategy goes when another pure strategy of the same player pays
-    strictly more against every surviving strategy of the opponent.  This
-    leaves the set of Nash equilibria unchanged (Fudenberg and Tirole, Game
-    Theory, 1991, section 2.1); weak dominance does not.  Strict dominance is
-    transitive, so every dominated strategy of a player goes at once.
-    """
-    rows, cols = list(range(len(a_by_row))), list(range(len(b_by_col)))
-    while True:
-        kept_rows = [i for i in rows if not _dominated(a_by_row, i, rows, cols)]
-        kept_cols = [j for j in cols if not _dominated(b_by_col, j, cols, kept_rows)]
-        if len(kept_rows) == len(rows) and len(kept_cols) == len(cols):
-            return rows, cols
-        rows, cols = kept_rows, kept_cols
-
-
-def _dominated(payoffs: list[list[int]], own: int, mine: list[int], theirs: list[int]) -> bool:
-    """Whether ``payoffs[own]`` is strictly below another of ``mine`` at every one of ``theirs``."""
-    # A getter of one index would give a bare value, not a tuple.
-    pick = itemgetter(*theirs) if len(theirs) > 1 else lambda row: (row[theirs[0]],)
-    row = pick(payoffs[own])
-    return any(all(map(gt, pick(payoffs[k]), row)) for k in mine)
-
-
 @lru_cache(maxsize=128)
-def _cramer_plan(opponent: tuple[int, ...], n_cols: int) -> list[tuple]:
+def _cramer_plan(n_rows: int, n_cols: int) -> list[tuple]:
     """Per size k, the flat addresses at which `_vertices` builds and reads the minors of size k.
 
-    The minors of ``[C | 1]`` of size k (rows: the kept constraints, by
-    position in ``opponent``; columns: the ``n_cols`` own strategies, then
-    the ones) form one flat list, row set by row set, each row set's column
-    sets in `combinations` order.  Sizes run to min(rows, n_cols + 1), one
-    past the largest support, for the bordered minors.  Size 1 is the matrix
-    itself.  Each level past it carries two gathers and the signs of its
-    Laplace expansion along the last row: for each minor in order, its k
-    entries of that row and the k minors of size k - 1 they multiply, so the
-    products of term j are the stride-k slice from j, and term j is signed
-    (-1)^(k - 1 + j).  Each level also carries its systems, support by
-    support: for each row set K, the addresses of M(K, S) and of each Cramer
-    numerator with its sign (the ones at position j, signed as term j by the
-    parity of the k - 1 - j swaps that move the ones to the end), K's label
-    mask (bit opponent[r] for each row r in K), and K's borders.  A border
-    of K is, for each other row r, r's bit, the address of M(K + r, S +
-    ones) one size up and the sign (-1)^(rows of K after r) of moving r to
-    the bottom, as is and negated (for a negative M(K, S)).
+    The minors of ``[C | 1]`` of size k (rows: the ``n_rows`` constraints;
+    columns: the ``n_cols`` own strategies, then the ones) form one flat
+    list, row set by row set, each row set's column sets in `combinations`
+    order.  Sizes run to min(n_rows, n_cols + 1), one past the largest
+    support, for the bordered minors.  Size 1 is the matrix itself.  Each
+    level past it carries two gathers and the signs of its Laplace expansion
+    along the last row: for each minor in order, its k entries of that row
+    and the k minors of size k - 1 they multiply, so the products of term j
+    are the stride-k slice from j, and term j is signed (-1)^(k - 1 + j).
+    Each level also carries its systems, support by support: for each row
+    set K, the addresses of M(K, S) and of each Cramer numerator with its
+    sign (the ones at position j, signed as term j by the parity of the
+    k - 1 - j swaps that move the ones to the end), K's label mask (bit r
+    for each row r in K), and K's borders.  A border of K is, for each other
+    row r, r's bit, the address of M(K + r, S + ones) one size up and the
+    sign (-1)^(rows of K after r) of moving r to the bottom, as is and
+    negated (for a negative M(K, S)).
     """
     width = n_cols + 1
-    sizes = range(1, min(len(opponent), width) + 1)
-    row_sets = [[()]] + [list(combinations(range(len(opponent)), k)) for k in sizes]
+    sizes = range(1, min(n_rows, width) + 1)
+    row_sets = [[()]] + [list(combinations(range(n_rows), k)) for k in sizes]
     col_sets = [[()]] + [list(combinations(range(width), k)) for k in sizes]
     row_at = {rows: i for level in row_sets for i, rows in enumerate(level)}
     col_at = {cols: i for level in col_sets for i, cols in enumerate(level)}
@@ -231,14 +201,14 @@ def _cramer_plan(opponent: tuple[int, ...], n_cols: int) -> list[tuple]:
             systems = []
             for rows in row_sets[k]:
                 others = [
-                    (1 << opponent[r], address(tuple(sorted(rows + (r,))), bordered),
+                    (1 << r, address(tuple(sorted(rows + (r,))), bordered),
                      (-1) ** sum(s > r for s in rows))
-                    for r in range(len(opponent)) if r not in rows
+                    for r in range(n_rows) if r not in rows
                 ]
                 systems.append((
                     address(rows, support),
                     [(address(rows, cols), sign) for cols, sign in cramer],
-                    sum(1 << opponent[r] for r in rows),
+                    sum(1 << r for r in rows),
                     [[(bit, at, sign * flip) for bit, at, sign in others] for flip in (1, -1)],
                 ))
             supports.append((support, systems))
@@ -246,31 +216,26 @@ def _cramer_plan(opponent: tuple[int, ...], n_cols: int) -> list[tuple]:
     return plan
 
 
-def _vertices(
-    constraints: list[list[int]], size: int, own: list[int], opponent: list[int]
-) -> dict[_Vertex, tuple[int, int]]:
+def _vertices(constraints: list[list[int]]) -> dict[_Vertex, tuple[int, int]]:
     """The nonzero vertices of ``{x >= 0 : c . x <= 1 for c in constraints}``, with labels.
 
     ``constraints[k][i]`` is the opponent's positive payoff for its pure
-    strategy k when this player plays i.  Only the strategies ``own`` of
-    this player and ``opponent`` of the opponent take part: x is zero off
-    ``own``, and the other constraints are dropped and never tight.  Every
-    vertex solves ``c . x = 1`` over some set K of constraints, with x zero
-    off some support S of the same size, so every such (S, K) is solved by
-    Cramer's rule.  By the Schur complement, M(K + r, S + ones) with row r
-    moved to the bottom is M(K, S) (1 - c_r . x), so each other kept
-    constraint r is tight where that minor is zero and violated where it has
-    the wrong sign.  Labels: the first mask has bit i set where x_i = 0, the
-    second bit k where constraint k is tight, that is where k is the
-    opponent's best response.
+    strategy k when this player plays i.  Every vertex solves ``c . x = 1``
+    over some set K of constraints, with x zero off some support S of the
+    same size, so every such (S, K) is solved by Cramer's rule.  By the
+    Schur complement, M(K + r, S + ones) with row r moved to the bottom is
+    M(K, S) (1 - c_r . x), so each other constraint r is tight where that
+    minor is zero and violated where it has the wrong sign.  Labels: the
+    first mask has bit i set where x_i = 0, the second bit k where
+    constraint k is tight, that is where k is the opponent's best response.
     """
     vertices: dict[_Vertex, tuple[int, int]] = {}
+    size = len(constraints[0])
     matrix = []
-    for k in opponent:
-        row = constraints[k]
-        matrix += [row[i] for i in own]
+    for row in constraints:
+        matrix += row
         matrix.append(1)
-    plan = _cramer_plan(tuple(opponent), len(own))
+    plan = _cramer_plan(len(constraints), size)
     # tables[k - 1]: the minors of size k, at the plan's flat addresses.
     tables = [matrix]
     for k, (expansion, _) in enumerate(plan[1:], 2):
@@ -297,7 +262,7 @@ def _vertices(
                     g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)  # so den // g > 0
                     x = [0] * size
                     for i, v in zip(support, nums):
-                        x[own[i]] = v // g
+                        x[i] = v // g
                     unplayed = sum(1 << i for i, v in enumerate(x) if v == 0)
                     vertices[tuple(x), den // g] = (unplayed, best)
     return vertices
@@ -307,23 +272,19 @@ def support_enumeration(game: BimatrixGame) -> EquilibriumReport:
     """All Nash equilibria of the game, as the extreme equilibria and a degeneracy flag.
 
     Pairs the vertices of the two best-response polytopes whose labels cover
-    every pure strategy, after strict dominance; complete for every shape.
-    On 3x3 it solves at most 19 systems per player.
+    every pure strategy; complete for every shape.  On 3x3 it solves exactly
+    19 systems per player.
     """
     n, m = game.shape
     # A positive scaling or a shift of one player's payoffs leaves every best
     # response, and so every equilibrium, unchanged.
     a_by_row, scale1, shift1 = _positive_matrix([[a for a, _ in row] for row in game.payoffs])
     b_by_col, scale2, shift2 = _positive_matrix([[b for _, b in col] for col in zip(*game.payoffs)])
-    # Removing strictly dominated strategies leaves every equilibrium, and
-    # each one's vertex pair, unchanged: a removed strategy is unplayed, and
-    # it is never a best response, so its constraint is never tight.
-    rows, cols = _undominated(a_by_row, b_by_col)
     # Player 1's polytope is {x >= 0 : B^T x <= 1}, player 2's {y >= 0 : A y <= 1}.
-    # In a symmetric game (B = A^T) whose two players keep the same
-    # strategies, both calls would be the same, so one polytope serves both.
-    xs = _vertices(b_by_col, n, rows, cols)
-    ys = xs if (a_by_row, cols) == (b_by_col, rows) else _vertices(a_by_row, m, cols, rows)
+    # In a symmetric game (B = A^T) both calls would be the same, so one
+    # polytope serves both.
+    xs = _vertices(b_by_col)
+    ys = xs if a_by_row == b_by_col else _vertices(a_by_row)
 
     # A vertex pair is an equilibrium when every pure strategy is unplayed or
     # a best response to the other vertex.

@@ -19,7 +19,9 @@ slacks off bordered minors: it computes them by dot products.
 level by level in flat tables: one dict of minors per row set, one
 `sum` per minor.  All three are oracles for `nash._vertices`, which must
 return exactly their dict of vertices and labels, and in the order of the
-last two.
+last two.  They still take the strategies ``own`` and ``opponent`` that take
+part, from when the solver removed strictly dominated strategies first; the
+tests pass every strategy, as `nash._vertices` now enumerates.
 """
 
 from __future__ import annotations

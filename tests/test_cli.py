@@ -38,6 +38,18 @@ GI3_JSON = {
     ],
 }
 
+# Iterated strict dominance removes row c, then column z; the 2x2 game left
+# has one mixed equilibrium.
+DOMINANCE3_JSON = {
+    "rows": ["a", "b", "c"],
+    "cols": ["x", "y", "z"],
+    "payoffs": [
+        [["5", "0"], ["0", "3"], ["1", "2"]],
+        [["1", "2"], ["2", "1"], ["4", "0"]],
+        [["0", "0"], ["1", "0"], ["2", "9"]],
+    ],
+}
+
 
 @pytest.fixture
 def pd_file(write_json):
@@ -433,12 +445,13 @@ EXTEND_TO_FILE = ["extend", "{pd}", "--theta", "1/3pi", "--alpha", "1/4pi", "--b
            "--alphas", "0,0.3,0.7853981634", "--betas", "0,1.1,1/4pi", "--allow-float-solve"]],
          "607be443a44710b79008e2b6f53aa68f"),
         ([["solve", "{tie3}"]], "1e77f3e8066ecc43a0686454e16c5e31"),
+        ([["solve", "{dominance3}"]], "95cac2b43d514f5e9c2de17973b43f28"),
         ([EXTEND_TO_FILE], "7ca3ed4ba6c4d15b545acd4da3c9f734"),
         ([EXTEND_TO_FILE, ["solve", "{ext}"]], "d73d3324ec7865c006e26804e401c801"),
         ([["reproduce", "--json"]], "029eb049729a23ddd18c60e2ccf5c3ce"),
     ],
-    ids=["sweep-pd", "sweep-swapped", "sweep-mixed-float", "solve-tie3", "extend-file",
-         "solve-extension", "reproduce-json"],
+    ids=["sweep-pd", "sweep-swapped", "sweep-mixed-float", "solve-tie3", "solve-dominance3",
+         "extend-file", "solve-extension", "reproduce-json"],
 )
 def test_output_is_unchanged(write_json, tmp_path, capsys, commands, digest):
     paths = {
@@ -448,6 +461,7 @@ def test_output_is_unchanged(write_json, tmp_path, capsys, commands, digest):
             payoffs=[[["1", "1"], ["5", "0"]], [["0", "5"], ["3", "3"]]])),
         "{tie3}": write_json("tie3.json", dict(GI3_JSON, rows=["a", "b", "c"],
                                                cols=["x", "y", "z"])),
+        "{dominance3}": write_json("dominance3.json", DOMINANCE3_JSON),
         "{ext}": str(tmp_path / "ext.json"),
     }
     for command in commands:
@@ -703,6 +717,22 @@ def test_output_into_a_fifo_keeps_the_fifo(pd_file, tmp_path, capsys):
     assert not reader.is_alive()
     assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
     assert received == [expected.read_text()]
+
+
+def test_output_into_a_fifo_whose_reader_has_gone_keeps_the_exit_code(pd_file, tmp_path, capsys):
+    # As with a pipe on standard output whose reader has gone.  The CSV is
+    # larger than a pipe holds, so the write is still blocked when the
+    # reader closes, and fails with EPIPE whatever the threads' timing.
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = threading.Thread(target=lambda: os.close(os.open(fifo, os.O_RDONLY)), daemon=True)
+    reader.start()
+    angles = ",".join(f"{k}/4pi" for k in range(24))
+    code, out, err = run(capsys, "sweep", pd_file, "--thetas", "0,1/3pi,1/2pi,2/3pi,pi",
+                         "--alphas", angles, "--betas", angles, "-o", str(fifo))
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert (code, out, err) == (0, "", "")
 
 
 def test_output_to_a_standard_stream_writes_through_it(pd_file, tmp_path):

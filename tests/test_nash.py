@@ -473,13 +473,49 @@ CHAIN_B = [[3, 2, 0], [4, 1, 0], [1, 5, 0]]
 
 def test_iterated_dominance_chain_matches_oracle():
     game = grid_game([(a, b) for ra, rb in zip(CHAIN_A, CHAIN_B) for a, b in zip(ra, rb)], 3, 3)
-    b_by_col = [list(col) for col in zip(*CHAIN_B)]
-    everything = [0, 1, 2]
-    assert not any(nash._dominated(CHAIN_A, i, everything, everything) for i in everything)
-    assert [j for j in everything if nash._dominated(b_by_col, j, everything, everything)] == [2]
-    assert nash._undominated(CHAIN_A, b_by_col) == ([0], [0])
     report = assert_matches_oracle(game)
     assert report.pure == ((0, 0, (3, 3)),) and not report.mixed and not report.degenerate
+
+
+def widened(report, row, col):
+    """The report with a never-played row inserted at ``row`` and a column at ``col``."""
+
+    def shift(i, at):
+        return i + (i >= at)
+
+    def zero_at(p, at):
+        return p[:at] + (F(0),) + p[at:]
+
+    return nash.EquilibriumReport(
+        tuple((shift(i, row), shift(j, col), pay) for i, j, pay in report.pure),
+        tuple(
+            (MixedProfile(zero_at(prof.p1, row), zero_at(prof.p2, col)), pay)
+            for prof, pay in report.mixed
+        ),
+        report.degenerate,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_strictly_dominated_strategies_change_nothing(data):
+    # A strictly dominated strategy is in no equilibrium, so adding one to
+    # each player moves every equilibrium's indices and pads its mixtures
+    # with a zero, and changes nothing else.  Checked without the oracle.
+    n, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    payoff = st.integers(-4, 4)
+    grid = [[data.draw(st.tuples(payoff, payoff)) for _ in range(m)] for _ in range(n)]
+    base = support_enumeration(grid_game([c for r in grid for c in r], n, m))
+
+    # A row whose player-1 payoffs are one below row `below`'s, at position `row`.
+    below, row = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n))
+    grid.insert(row, [(a - 1, data.draw(payoff)) for a, _ in grid[below]])
+    # Then a column whose player-2 payoffs are one below column `left`'s, at `col`.
+    left, col = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, m))
+    for r in grid:
+        r.insert(col, (data.draw(payoff), r[left][1] - 1))
+    game = grid_game([c for r in grid for c in r], n + 1, m + 1)
+    assert support_enumeration(game) == widened(base, row, col)
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (3, 2), (1, 3), (4, 4), (2, 4)])
@@ -532,18 +568,17 @@ def assert_vertices_match_oracle(game):
     The oracles are Gauss-Jordan elimination per system, Cramer's rule with
     dot-product slacks, and Cramer's rule with bordered slacks over one dict
     of minors per row set, each minor a Laplace sum; the last two also find
-    the vertices in the same order.  Each player's polytope is checked on
-    the strategies that survive strict dominance, as the solver sees it, and
-    on every strategy.
+    the vertices in the same order.  Each player's polytope is checked over
+    every strategy of both players, as the solver enumerates it.
     """
     n, m = game.shape
+    rows, cols = list(range(n)), list(range(m))
     a_by_row, b_by_col = solver_matrices(game)
-    for rows, cols in (nash._undominated(a_by_row, b_by_col), (list(range(n)), list(range(m)))):
-        for args in ((b_by_col, n, rows, cols), (a_by_row, m, cols, rows)):
-            found = list(nash._vertices(*args).items())
-            assert found == list(nash_oracle.laplace_vertices(*args).items())
-            assert found == list(nash_oracle.dot_product_vertices(*args).items())
-            assert dict(found) == nash_oracle.vertices(*args)
+    for args in ((b_by_col, n, rows, cols), (a_by_row, m, cols, rows)):
+        found = list(nash._vertices(args[0]).items())
+        assert found == list(nash_oracle.laplace_vertices(*args).items())
+        assert found == list(nash_oracle.dot_product_vertices(*args).items())
+        assert dict(found) == nash_oracle.vertices(*args)
 
 
 @settings(max_examples=150, deadline=None)
@@ -572,20 +607,14 @@ def test_vertices_match_elimination_oracle_on_snapped_extensions():
 
 
 def test_vertices_match_oracles_where_the_opponent_keeps_two_more_strategies():
-    # After strict dominance, one player's opponent keeps at least two more
-    # strategies than that player, so a vertex of full support still has
-    # kept constraints outside its tight set, and their slacks are read off
-    # minors one size past the largest support.
+    # In each shape one player's opponent has at least two more strategies
+    # than that player, so a vertex of full support still has constraints
+    # outside its tight set, and their slacks are read off minors one size
+    # past the largest support.
     rng = random.Random(79)
-    shapes = [(4, 1), (1, 4), (4, 2), (2, 4), (5, 2)]
-    wide = {shape: 0 for shape in shapes}
-    while min(wide.values()) < 25:
-        shape = rng.choice(shapes)
-        n, m = shape
-        game = grid_game([(rng.randrange(3), rng.randrange(3)) for _ in range(n * m)], n, m)
-        rows, cols = nash._undominated(*solver_matrices(game))
-        if abs(len(rows) - len(cols)) >= 2:
-            wide[shape] += 1
+    for n, m in [(4, 1), (1, 4), (4, 2), (2, 4), (5, 2)]:
+        for _ in range(25):
+            game = grid_game([(rng.randrange(3), rng.randrange(3)) for _ in range(n * m)], n, m)
             assert_vertices_match_oracle(game)
 
 
@@ -617,8 +646,8 @@ def symmetric_tie_heavy_games(seed, count):
 
 @pytest.mark.parametrize("swap_rows, calls", [(False, 1), (True, 2)], ids=["pd", "row-swapped-pd"])
 def test_symmetric_game_enumerates_one_polytope(pd, swap_rows, calls, monkeypatch):
-    # The PD's extension is symmetric and keeps the same strategies for both
-    # players, so one vertex enumeration serves both; its row swap is not.
+    # The PD's extension is symmetric, so one vertex enumeration serves both
+    # players; its row swap is not.
     game = make_game(pd.row_labels[::-1], pd.col_labels, pd.payoffs[::-1]) if swap_rows else pd
     counted = []
 
@@ -638,9 +667,5 @@ def test_symmetric_game_enumerates_one_polytope(pd, swap_rows, calls, monkeypatc
 
 def test_symmetric_tie_heavy_games_match_oracles():
     for game in symmetric_tie_heavy_games(83, 100):
-        # Strict dominance removes the same strategies of both players, so
-        # the solver enumerates one polytope.
-        rows, cols = nash._undominated(*solver_matrices(game))
-        assert rows == cols
         assert_matches_oracle(game)
         assert_vertices_match_oracle(game)
