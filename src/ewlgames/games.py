@@ -229,9 +229,16 @@ def find_isomorphism(
 
 
 def is_generic(game: BimatrixGame) -> bool:
-    """True iff each player's payoffs are pairwise distinct across all cells."""
+    """True iff each player's payoffs are pairwise distinct across all cells.
+
+    Equal payoffs have equal integer ratios in lowest terms, and a pair of
+    ints hashes faster than a `Fraction`.
+    """
     size = game.n_rows * game.n_cols
-    return all(len(set(game.player_values(p))) == size for p in (0, 1))
+    return all(
+        len({c[p].as_integer_ratio() for row in game.payoffs for c in row}) == size
+        for p in (0, 1)
+    )
 
 
 def random_generic_game(rng, rows: int = 2, cols: int = 2) -> BimatrixGame:
@@ -257,19 +264,44 @@ def random_generic_game(rng, rows: int = 2, cols: int = 2) -> BimatrixGame:
     )
 
 
+def _snap(value: Fraction) -> Fraction:
+    """``value.limit_denominator(SNAP_DENOMINATOR)``, computed in integers.
+
+    The convergents p1/q1 of value's continued fraction run until the next
+    denominator would pass the limit; the best approximation is then p1/q1
+    or the semiconvergent (p0 + k p1)/(q0 + k q1) with the largest k that
+    keeps its denominator within the limit.  Those two are 1/(q1 (q0 + k q1))
+    apart, and p1/q1 is d/(q1 den) from the value, d being the remainder
+    where the loop stopped, so comparing 2 d (q0 + k q1) with den picks the
+    nearer, p1/q1 on a tie, as `Fraction.limit_denominator` does.
+    """
+    n, den = value.as_integer_ratio()
+    if den <= SNAP_DENOMINATOR:
+        return value
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    d = den
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > SNAP_DENOMINATOR:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (SNAP_DENOMINATOR - q0) // q1
+    if 2 * d * (q0 + k * q1) <= den:
+        return Fraction(p1, q1)
+    return Fraction(p0 + k * p1, q0 + k * q1)
+
+
 def snapped(game: BimatrixGame) -> BimatrixGame:
     """Payoffs re-approximated with denominators up to SNAP_DENOMINATOR.
 
-    Used before solving float-built games so that coincidences holding to
-    within the float tolerance become exact ties.
+    Each cell becomes ``limit_denominator(SNAP_DENOMINATOR)``'s fraction,
+    computed in integers by `_snap`.  Used before solving float-built games
+    so that coincidences holding to within the float tolerance become exact
+    ties.
     """
-    grid = tuple(
-        tuple(
-            (c[0].limit_denominator(SNAP_DENOMINATOR), c[1].limit_denominator(SNAP_DENOMINATOR))
-            for c in row
-        )
-        for row in game.payoffs
-    )
+    grid = tuple(tuple((_snap(a), _snap(b)) for a, b in row) for row in game.payoffs)
     return BimatrixGame(game.row_labels, game.col_labels, grid)
 
 

@@ -11,15 +11,17 @@ every pure strategy, is enumerated, so the search is complete for every
 shape, degenerate games included, and a report with a single equilibrium
 is a uniqueness proof by exhaustion.
 
-The enumeration runs in integers.  Each player's payoffs are multiplied by
-the lcm of their denominators and shifted, which leaves every equilibrium
-unchanged.  Every vertex solves one square system by Cramer's rule over the
-minors of ``[C | 1]`` (rows: the opponent's strategies; columns: the
-player's own, then ones).  They are built level by level, one flat list per
-size, each level from the one below by Laplace expansion along the last
-row, and read by address.  A vertex's slacks are read off the next level
-as bordered minors.  In a symmetric game (B = A^T) the two polytopes are
-one, and it is enumerated once.  `Fraction` appears only in the report.
+The enumeration runs in integers.  Each player's payoffs are read in one
+flat pass, multiplied by the lcm of their denominators and shifted to be at
+least one, which leaves every equilibrium unchanged.  A vertex that plays
+one strategy i is e_i over the opponent's largest payoff against i.  Every
+larger vertex solves one square system by Cramer's rule over the minors of
+``[C | 1]`` (rows: the opponent's strategies; columns: the player's own,
+then ones).  They are built level by level, one flat list per size, each
+level from the one below by Laplace expansion along the last row, and read
+by address.  A vertex's slacks are read off the next level as bordered
+minors.  In a symmetric game (B = A^T) the two polytopes are one, and it is
+enumerated once.  `Fraction` appears only in the report.
 
 In a degenerate game two extreme equilibria share one player's mixture, so
 the segment between them is in equilibrium too; the report then lists the
@@ -36,7 +38,7 @@ from math import gcd, lcm
 from operator import add, itemgetter, mul, sub
 from typing import NamedTuple
 
-from .games import BimatrixGame, Payoff, _integer_matrix
+from .games import BimatrixGame, Payoff
 
 _ZERO = Fraction(0)
 
@@ -136,14 +138,19 @@ def verify_equilibrium(game: BimatrixGame, profile: MixedProfile) -> bool:
 _Vertex = tuple[tuple[int, ...], int]
 
 
-def _positive_matrix(values: list[list[Fraction]]) -> tuple[list[list[int]], int, int]:
-    """The matrix scaled to integers and shifted so that every entry is at least one.
+def _positive_matrix(values: list[Fraction], width: int) -> tuple[list[list[int]], int, int]:
+    """A row-major matrix scaled to integers and shifted so that every entry is at least one.
 
-    Returns the matrix, the scale and the shift.
+    ``values`` holds the rows, ``width`` entries each, one after another.
+    Returns the matrix as rows, the scale (the lcm of the denominators) and
+    the shift.
     """
-    ints, scale = _integer_matrix(values)
-    shift = 1 - min(map(min, ints))
-    return [[v + shift for v in row] for row in ints], scale, shift
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = lcm(*[d for _, d in ratios])
+    ints = [n * (scale // d) for n, d in ratios]
+    shift = 1 - min(ints)
+    rows = [[v + shift for v in ints[i:i + width]] for i in range(0, len(ints), width)]
+    return rows, scale, shift
 
 
 @lru_cache(maxsize=128)
@@ -153,12 +160,14 @@ def _cramer_plan(n_rows: int, n_cols: int) -> list[tuple]:
     The minors of ``[C | 1]`` of size k (rows: the ``n_rows`` constraints;
     columns: the ``n_cols`` own strategies, then the ones) form one flat
     list, row set by row set, each row set's column sets in `combinations`
-    order.  Sizes run to min(n_rows, n_cols + 1), one past the largest
-    support, for the bordered minors.  Size 1 is the matrix itself.  Each
-    level past it carries two gathers and the signs of its Laplace expansion
-    along the last row: for each minor in order, its k entries of that row
-    and the k minors of size k - 1 they multiply, so the products of term j
-    are the stride-k slice from j, and term j is signed (-1)^(k - 1 + j).
+    order.  Size 1 is the matrix itself, and `_vertices` reads its systems
+    off column maxima, so the plan holds the levels from size 2 to
+    min(n_rows, n_cols + 1), one past the largest support, for the bordered
+    minors.  Each level carries two gathers and the signs of its Laplace
+    expansion along the last row: for each minor in order, its k entries of
+    that row and the k minors of size k - 1 they multiply, so the products
+    of term j are the stride-k slice from j, and term j is signed
+    (-1)^(k - 1 + j).
     Each level also carries its systems, support by support: for each row
     set K, the addresses of M(K, S) and of each Cramer numerator with its
     sign (the ones at position j, signed as term j by the parity of the
@@ -169,9 +178,9 @@ def _cramer_plan(n_rows: int, n_cols: int) -> list[tuple]:
     negated (for a negative M(K, S)).
     """
     width = n_cols + 1
-    sizes = range(1, min(n_rows, width) + 1)
-    row_sets = [[()]] + [list(combinations(range(n_rows), k)) for k in sizes]
-    col_sets = [[()]] + [list(combinations(range(width), k)) for k in sizes]
+    top = min(n_rows, width)
+    row_sets = [[()]] + [list(combinations(range(n_rows), k)) for k in range(1, top + 1)]
+    col_sets = [[()]] + [list(combinations(range(width), k)) for k in range(1, top + 1)]
     row_at = {rows: i for level in row_sets for i, rows in enumerate(level)}
     col_at = {cols: i for level in col_sets for i, cols in enumerate(level)}
 
@@ -179,18 +188,16 @@ def _cramer_plan(n_rows: int, n_cols: int) -> list[tuple]:
         return row_at[rows] * len(col_sets[len(rows)]) + col_at[cols]
 
     plan = []
-    for k in sizes:
-        expansion = None
-        if k > 1:
-            entries, smaller = [], []
-            for rows in row_sets[k]:
-                for cols in col_sets[k]:
-                    for j, c in enumerate(cols):
-                        entries.append(rows[-1] * width + c)
-                        smaller.append(address(rows[:-1], cols[:j] + cols[j + 1:]))
-            # Term k - 1 is positive; the ones before it alternate in sign.
-            ops = [(j, sub if (k - 1 - j) % 2 else add) for j in range(k - 2, -1, -1)]
-            expansion = (itemgetter(*entries), itemgetter(*smaller), ops)
+    for k in range(2, top + 1):
+        entries, smaller = [], []
+        for rows in row_sets[k]:
+            for cols in col_sets[k]:
+                for j, c in enumerate(cols):
+                    entries.append(rows[-1] * width + c)
+                    smaller.append(address(rows[:-1], cols[:j] + cols[j + 1:]))
+        # Term k - 1 is positive; the ones before it alternate in sign.
+        ops = [(j, sub if (k - 1 - j) % 2 else add) for j in range(k - 2, -1, -1)]
+        expansion = (itemgetter(*entries), itemgetter(*smaller), ops)
         supports = []
         for support in combinations(range(n_cols), k):
             bordered = support + (n_cols,)
@@ -222,15 +229,26 @@ def _vertices(constraints: list[list[int]]) -> dict[_Vertex, tuple[int, int]]:
     ``constraints[k][i]`` is the opponent's positive payoff for its pure
     strategy k when this player plays i.  Every vertex solves ``c . x = 1``
     over some set K of constraints, with x zero off some support S of the
-    same size, so every such (S, K) is solved by Cramer's rule.  By the
-    Schur complement, M(K + r, S + ones) with row r moved to the bottom is
-    M(K, S) (1 - c_r . x), so each other constraint r is tight where that
-    minor is zero and violated where it has the wrong sign.  Labels: the
-    first mask has bit i set where x_i = 0, the second bit k where
-    constraint k is tight, that is where k is the opponent's best response.
+    same size.  For S = {i}, x_i = 1 / c_i keeps every constraint only when
+    c_i is the column's maximum, and every entry is positive, so each column
+    gives one vertex, tight on the rows that reach that maximum; these come
+    first, in column order.  Every larger (S, K) is solved by Cramer's rule.
+    By the Schur complement, M(K + r, S + ones) with row r moved to the
+    bottom is M(K, S) (1 - c_r . x), so each other constraint r is tight
+    where that minor is zero and violated where it has the wrong sign.
+    Labels: the first mask has bit i set where x_i = 0, the second bit k
+    where constraint k is tight, that is where k is the opponent's best
+    response.
     """
     vertices: dict[_Vertex, tuple[int, int]] = {}
     size = len(constraints[0])
+    everything = (1 << size) - 1
+    for i, column in enumerate(zip(*constraints)):
+        peak = max(column)
+        x = [0] * size
+        x[i] = 1
+        tight = sum(1 << k for k, v in enumerate(column) if v == peak)
+        vertices[tuple(x), peak] = (everything ^ 1 << i, tight)
     matrix = []
     for row in constraints:
         matrix += row
@@ -238,14 +256,14 @@ def _vertices(constraints: list[list[int]]) -> dict[_Vertex, tuple[int, int]]:
     plan = _cramer_plan(len(constraints), size)
     # tables[k - 1]: the minors of size k, at the plan's flat addresses.
     tables = [matrix]
-    for k, (expansion, _) in enumerate(plan[1:], 2):
+    for k, (expansion, _) in enumerate(plan, 2):
         entries, smaller, ops = expansion
         terms = list(map(mul, entries(matrix), smaller(tables[-1])))
         table = terms[k - 1::k]
         for j, op in ops:
             table = map(op, table, terms[j::k])
         tables.append(list(table))
-    for (_, supports), table, wider in zip(plan, tables, tables[1:] + [None]):
+    for (_, supports), table, wider in zip(plan, tables[1:], tables[2:] + [None]):
         for support, systems in supports:
             for at, cramer, best, borders in systems:
                 if not (den := table[at]):
@@ -272,14 +290,16 @@ def support_enumeration(game: BimatrixGame) -> EquilibriumReport:
     """All Nash equilibria of the game, as the extreme equilibria and a degeneracy flag.
 
     Pairs the vertices of the two best-response polytopes whose labels cover
-    every pure strategy; complete for every shape.  On 3x3 it solves exactly
-    19 systems per player.
+    every pure strategy; complete for every shape.  On 3x3 it reads 3 column
+    maxima and solves exactly 10 systems per player.
     """
     n, m = game.shape
     # A positive scaling or a shift of one player's payoffs leaves every best
     # response, and so every equilibrium, unchanged.
-    a_by_row, scale1, shift1 = _positive_matrix([[a for a, _ in row] for row in game.payoffs])
-    b_by_col, scale2, shift2 = _positive_matrix([[b for _, b in col] for col in zip(*game.payoffs)])
+    a_by_row, scale1, shift1 = _positive_matrix([a for row in game.payoffs for a, _ in row], m)
+    b_by_col, scale2, shift2 = _positive_matrix(
+        [b for col in zip(*game.payoffs) for _, b in col], n
+    )
     # Player 1's polytope is {x >= 0 : B^T x <= 1}, player 2's {y >= 0 : A y <= 1}.
     # In a symmetric game (B = A^T) both calls would be the same, so one
     # polytope serves both.

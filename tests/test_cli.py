@@ -433,6 +433,8 @@ FULL_GRID = ["--thetas", "0,1/3pi,1/2pi,2/3pi,pi", "--alphas", QUARTER_PI, "--be
 
 EXTEND_TO_FILE = ["extend", "{pd}", "--theta", "1/3pi", "--alpha", "1/4pi", "--beta", "3/4pi",
                   "-o", "{ext}"]
+EXTEND_FLOAT_TO_FILE = ["extend", "{pd}", "--theta", "0.8", "--alpha", "0.3", "--beta", "1.1",
+                        "-o", "{ext}"]
 
 
 # The md5 of the last command's -o file, or of its standard output if it has none.
@@ -449,9 +451,11 @@ EXTEND_TO_FILE = ["extend", "{pd}", "--theta", "1/3pi", "--alpha", "1/4pi", "--b
         ([EXTEND_TO_FILE], "7ca3ed4ba6c4d15b545acd4da3c9f734"),
         ([EXTEND_TO_FILE, ["solve", "{ext}"]], "d73d3324ec7865c006e26804e401c801"),
         ([["reproduce", "--json"]], "029eb049729a23ddd18c60e2ccf5c3ce"),
+        ([EXTEND_FLOAT_TO_FILE, ["solve", "{ext}", "--allow-float-solve", "-o", "{report}"]],
+         "5642ef12439c59ea17c515a561c05ab8"),
     ],
     ids=["sweep-pd", "sweep-swapped", "sweep-mixed-float", "solve-tie3", "solve-dominance3",
-         "extend-file", "solve-extension", "reproduce-json"],
+         "extend-file", "solve-extension", "reproduce-json", "solve-float-extension"],
 )
 def test_output_is_unchanged(write_json, tmp_path, capsys, commands, digest):
     paths = {
@@ -463,6 +467,7 @@ def test_output_is_unchanged(write_json, tmp_path, capsys, commands, digest):
                                                cols=["x", "y", "z"])),
         "{dominance3}": write_json("dominance3.json", DOMINANCE3_JSON),
         "{ext}": str(tmp_path / "ext.json"),
+        "{report}": str(tmp_path / "report.json"),
     }
     for command in commands:
         argv = [paths.get(arg, arg) for arg in command]

@@ -20,8 +20,10 @@ from ewlgames import (
     make_game,
     random_generic_game,
     rational,
+    snapped,
     variant,
 )
+from ewlgames.games import SNAP_DENOMINATOR
 from ewlgames.ewl import FLOAT_TOL
 import isomorphism_oracle
 
@@ -283,6 +285,57 @@ def test_is_generic(pd):
     zero = make_game(("A", "B"), ("C", "D"), [[(0, 0), (0, 0)], [(0, 0), (0, 0)]])
     assert not is_generic(zero)
     assert is_generic(random_generic_game(random.Random(3)))
+
+
+@pytest.mark.parametrize("player", [0, 1])
+def test_equal_payoffs_spelled_differently_are_not_generic(player):
+    # "1/2", "2/4" and "0.5" are one number, so any two of them tie.
+    for first, second in [("1/2", "2/4"), ("1/2", "0.5"), ("2/4", "0.5")]:
+        cells = [[[1, 2], [3, 4]], [[5, 6], [7, 8]]]
+        cells[0][0][player], cells[1][1][player] = first, second
+        assert not is_generic(make_game(("A", "B"), ("C", "D"), cells))
+
+
+@given(g=games_2x2())
+def test_is_generic_matches_distinct_fractions(g):
+    assert is_generic(g) == all(len(set(g.player_values(p))) == 4 for p in (0, 1))
+
+
+@st.composite
+def farey_midpoints(draw):
+    """The midpoint of p/q and its right neighbour r/s, both with denominators up to the limit.
+
+    No fraction with such a denominator lies strictly between the two, so
+    they are the two candidates `limit_denominator` weighs, and the midpoint
+    is a tie between them.  A nudge of a small fraction of the gap moves it
+    to either side.
+    """
+    q = draw(st.integers(1, SNAP_DENOMINATOR))
+    p = draw(st.integers(-10 * q, 10 * q).filter(lambda p: math.gcd(p, q) == 1))
+    # r q - p s = 1 with s as large as the limit allows: s = -1/p (mod q).
+    s = -pow(p, -1, q) % q
+    s += (SNAP_DENOMINATOR - s) // q * q
+    r = (1 + p * s) // q
+    nudge = draw(st.sampled_from([-1, 0, 1]))
+    return F(p * s + r * q, 2 * q * s) + F(nudge, 4 * q * s * SNAP_DENOMINATOR)
+
+
+snap_inputs = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(F),
+    st.builds(F, st.integers(-(10**40), 10**40), st.integers(1, 10**40)),
+    st.fractions(max_denominator=SNAP_DENOMINATOR),
+    farey_midpoints(),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.tuples(snap_inputs, snap_inputs), min_size=1, max_size=3))
+def test_snapped_equals_limit_denominator(cells):
+    game = make_game(("A",), [f"c{j}" for j in range(len(cells))], [cells])
+    for (a, b), snapped_cell in zip(cells, snapped(game).payoffs[0]):
+        assert snapped_cell == (
+            a.limit_denominator(SNAP_DENOMINATOR), b.limit_denominator(SNAP_DENOMINATOR)
+        )
 
 
 @given(a=rationals, b=rationals)

@@ -550,16 +550,31 @@ def test_positive_scaling_leaves_equilibria_unchanged(player):
 # --- Cramer's rule and bordered minors against the two vertex oracles ---------
 
 
+def shifted_matrix(rows):
+    """The rows scaled by `_integer_matrix` and shifted so that every entry is at least one.
+
+    This is how `nash._positive_matrix` built each player's matrix before
+    it read the payoffs in one flat pass; it is the oracle for that pass.
+    """
+    ints, scale = _integer_matrix(rows)
+    shift = 1 - min(map(min, ints))
+    return [[v + shift for v in row] for row in ints], scale, shift
+
+
 def solver_matrices(game):
-    """Player 1's payoffs by row and player 2's by column, as `_vertices` gets them."""
+    """Player 1's payoffs by row and player 2's by column, as `_vertices` gets them.
+
+    Asserts that `nash._positive_matrix` builds each one, with its scale and
+    shift, as `shifted_matrix` does.
+    """
     n, m = game.shape
-    a_by_row, _, _ = nash._positive_matrix(
-        [[game.payoff(i, j)[0] for j in range(m)] for i in range(n)]
-    )
-    b_by_col, _, _ = nash._positive_matrix(
-        [[game.payoff(i, j)[1] for i in range(n)] for j in range(m)]
-    )
-    return a_by_row, b_by_col
+    matrices = []
+    for player, rows in ((0, game.payoffs), (1, list(zip(*game.payoffs)))):
+        values = [[cell[player] for cell in row] for row in rows]
+        expected = shifted_matrix(values)
+        assert nash._positive_matrix([v for row in values for v in row], len(values[0])) == expected
+        matrices.append(expected[0])
+    return matrices
 
 
 def assert_vertices_match_oracle(game):
@@ -604,6 +619,33 @@ def test_vertices_match_elimination_oracle_on_snapped_extensions():
         ext = build_extension(random_generic_game(rng), params)
         assert not ext.exact
         assert_vertices_match_oracle(snapped(ext.game))
+
+
+@pytest.mark.parametrize(
+    "constraints",
+    [
+        # Rows 0 and 2 are equal, so no system of size 2 finds (1/3, 0) again.
+        [[3, 1], [2, 4], [3, 1]],
+        # One column: no system of size 2 at all.
+        [[3], [2], [3]],
+        # Three tied maxima in column 0, and a constant column 2.
+        [[5, 1, 2], [5, 2, 2], [5, 1, 2]],
+    ],
+    ids=["equal-rows", "one-column", "three-rows"],
+)
+def test_tied_column_maxima_give_one_vertex_tight_on_every_tied_row(constraints):
+    # Column 0 reaches its maximum in rows 0 and 2 (and 1 in the last case),
+    # so support {0} has one vertex, x = e_0 over that maximum, on which
+    # every one of those constraints is tight.
+    size, top = len(constraints[0]), constraints[0][0]
+    tight = sum(1 << k for k, row in enumerate(constraints) if row[0] == top)
+    assert tight in (0b101, 0b111)
+    found = list(nash._vertices(constraints).items())
+    assert found[0] == (((1,) + (0,) * (size - 1), top), ((1 << size) - 2, tight))
+    args = (constraints, size, list(range(size)), [0, 1, 2])
+    assert found == list(nash_oracle.laplace_vertices(*args).items())
+    assert found == list(nash_oracle.dot_product_vertices(*args).items())
+    assert dict(found) == nash_oracle.vertices(*args)
 
 
 def test_vertices_match_oracles_where_the_opponent_keeps_two_more_strategies():
