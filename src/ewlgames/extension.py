@@ -164,7 +164,7 @@ def _classical_payoffs(game: BimatrixGame, exact: bool):
     players = []
     for player in (0, 1):
         if exact:
-            (xs,), scale = _integer_matrix([[c[player] for c in cells]])
+            xs, scale = _integer_matrix([c[player] for c in cells])
             players.append((xs, 16 * scale))
             continue
         try:

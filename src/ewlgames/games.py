@@ -164,11 +164,14 @@ class StrategyBijection(NamedTuple):
     col_map: tuple[tuple[str, str], ...]
 
 
-def _integer_matrix(values: list[list[Fraction]]) -> tuple[list[list[int]], int]:
-    """The matrix times the lcm of its denominators, and that lcm."""
-    ratios = [[v.as_integer_ratio() for v in row] for row in values]
-    scale = math.lcm(*[d for row in ratios for _, d in row])
-    return [[n * (scale // d) for n, d in row] for row in ratios], scale
+def _integer_matrix(values: list[Fraction]) -> tuple[list[int], int]:
+    """The values times the lcm of their denominators, and that lcm.
+
+    ``values`` is flat: a matrix comes in row-major order and goes out so.
+    """
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = math.lcm(*[d for _, d in ratios])
+    return [n * (scale // d) for n, d in ratios], scale
 
 
 def find_isomorphism(
@@ -198,12 +201,11 @@ def find_isomorphism(
     tol_num, tol_den = tol.as_integer_ratio()
     players = []  # (a's images, b's images, bound) for each player
     for p in (0, 1):
-        ints, scale = _integer_matrix([[c[p] for c in row] for row in a.payoffs + b.payoffs])
+        ints, scale = _integer_matrix([c[p] for row in a.payoffs + b.payoffs for c in row])
         bound = tol_num * scale // tol_den
-        xs, ys = ints[:n], ints[n:]
-        ranked = zip(sorted(v for row in xs for v in row), sorted(v for row in ys for v in row))
-        if any(abs(x - y) > bound for x, y in ranked):
+        if any(abs(x - y) > bound for x, y in zip(sorted(ints[:n * m]), sorted(ints[n * m:]))):
             return None
+        xs, ys = [[ints[i:i + m] for i in range(start, start + n * m, m)] for start in (0, n * m)]
         players.append((xs, ys, bound))
     (xs1, ys1, d1), (xs2, ys2, d2) = players
     for row_perm in permutations(range(n)):

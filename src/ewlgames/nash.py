@@ -38,7 +38,7 @@ from math import gcd, lcm
 from operator import add, itemgetter, mul, sub
 from typing import NamedTuple
 
-from .games import BimatrixGame, Payoff
+from .games import BimatrixGame, Payoff, _integer_matrix
 
 _ZERO = Fraction(0)
 
@@ -145,9 +145,7 @@ def _positive_matrix(values: list[Fraction], width: int) -> tuple[list[list[int]
     Returns the matrix as rows, the scale (the lcm of the denominators) and
     the shift.
     """
-    ratios = [v.as_integer_ratio() for v in values]
-    scale = lcm(*[d for _, d in ratios])
-    ints = [n * (scale // d) for n, d in ratios]
+    ints, scale = _integer_matrix(values)
     shift = 1 - min(ints)
     rows = [[v + shift for v in ints[i:i + width]] for i in range(0, len(ints), width)]
     return rows, scale, shift
@@ -163,7 +161,8 @@ def _cramer_plan(n_rows: int, n_cols: int) -> list[tuple]:
     order.  Size 1 is the matrix itself, and `_vertices` reads its systems
     off column maxima, so the plan holds the levels from size 2 to
     min(n_rows, n_cols + 1), one past the largest support, for the bordered
-    minors.  Each level carries two gathers and the signs of its Laplace
+    minors; with one column no system has size 2, and the plan is empty.
+    Each level carries two gathers and the signs of its Laplace
     expansion along the last row: for each minor in order, its k entries of
     that row and the k minors of size k - 1 they multiply, so the products
     of term j are the stride-k slice from j, and term j is signed
@@ -178,7 +177,7 @@ def _cramer_plan(n_rows: int, n_cols: int) -> list[tuple]:
     negated (for a negative M(K, S)).
     """
     width = n_cols + 1
-    top = min(n_rows, width)
+    top = min(n_rows, width) if n_cols > 1 else 1
     row_sets = [[()]] + [list(combinations(range(n_rows), k)) for k in range(1, top + 1)]
     col_sets = [[()]] + [list(combinations(range(width), k)) for k in range(1, top + 1)]
     row_at = {rows: i for level in row_sets for i, rows in enumerate(level)}

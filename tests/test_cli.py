@@ -435,6 +435,11 @@ EXTEND_TO_FILE = ["extend", "{pd}", "--theta", "1/3pi", "--alpha", "1/4pi", "--b
                   "-o", "{ext}"]
 EXTEND_FLOAT_TO_FILE = ["extend", "{pd}", "--theta", "0.8", "--alpha", "0.3", "--beta", "1.1",
                         "-o", "{ext}"]
+# Its snapped extension has pure equilibria in two new cells and a mixed one
+# on the new strategies, so the report reads snapped payoffs.
+EXTEND_FLOAT_MIXED_TO_FILE = ["extend", "{pd}", "--theta", "1.2", "--alpha", "0.4",
+                              "--beta", "2.3", "-o", "{ext}"]
+SOLVE_FLOAT = ["solve", "{ext}", "--allow-float-solve", "-o", "{report}"]
 
 
 # The md5 of the last command's -o file, or of its standard output if it has none.
@@ -451,11 +456,12 @@ EXTEND_FLOAT_TO_FILE = ["extend", "{pd}", "--theta", "0.8", "--alpha", "0.3", "-
         ([EXTEND_TO_FILE], "7ca3ed4ba6c4d15b545acd4da3c9f734"),
         ([EXTEND_TO_FILE, ["solve", "{ext}"]], "d73d3324ec7865c006e26804e401c801"),
         ([["reproduce", "--json"]], "029eb049729a23ddd18c60e2ccf5c3ce"),
-        ([EXTEND_FLOAT_TO_FILE, ["solve", "{ext}", "--allow-float-solve", "-o", "{report}"]],
-         "5642ef12439c59ea17c515a561c05ab8"),
+        ([EXTEND_FLOAT_TO_FILE, SOLVE_FLOAT], "5642ef12439c59ea17c515a561c05ab8"),
+        ([EXTEND_FLOAT_MIXED_TO_FILE, SOLVE_FLOAT], "07b775d1568ba316dbb1b3fa0eeea7ba"),
     ],
     ids=["sweep-pd", "sweep-swapped", "sweep-mixed-float", "solve-tie3", "solve-dominance3",
-         "extend-file", "solve-extension", "reproduce-json", "solve-float-extension"],
+         "extend-file", "solve-extension", "reproduce-json", "solve-float-extension",
+         "solve-float-extension-mixed"],
 )
 def test_output_is_unchanged(write_json, tmp_path, capsys, commands, digest):
     paths = {

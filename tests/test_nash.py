@@ -61,7 +61,9 @@ def eliminate(rows, rhs):
     lowest terms, when that solution is unique, and None when the system is
     singular.  Returns the `Fraction` oracle's answer, (particular, nullspace).
     """
-    int_rows, _ = _integer_matrix([[*row, r] for row, r in zip(rows, rhs)])
+    width = len(rows[0]) + 1
+    ints, _ = _integer_matrix([v for row, r in zip(rows, rhs) for v in (*row, r)])
+    int_rows = [ints[i:i + width] for i in range(0, len(ints), width)]
     solved = nash_oracle.eliminate(int_rows)
     expected = nash_oracle.solve_rational_system(rows, rhs)
     if expected[0] is None or expected[1]:
@@ -550,31 +552,12 @@ def test_positive_scaling_leaves_equilibria_unchanged(player):
 # --- Cramer's rule and bordered minors against the two vertex oracles ---------
 
 
-def shifted_matrix(rows):
-    """The rows scaled by `_integer_matrix` and shifted so that every entry is at least one.
-
-    This is how `nash._positive_matrix` built each player's matrix before
-    it read the payoffs in one flat pass; it is the oracle for that pass.
-    """
-    ints, scale = _integer_matrix(rows)
-    shift = 1 - min(map(min, ints))
-    return [[v + shift for v in row] for row in ints], scale, shift
-
-
 def solver_matrices(game):
-    """Player 1's payoffs by row and player 2's by column, as `_vertices` gets them.
-
-    Asserts that `nash._positive_matrix` builds each one, with its scale and
-    shift, as `shifted_matrix` does.
-    """
+    """Player 1's payoffs by row and player 2's by column, as `_vertices` gets them."""
     n, m = game.shape
-    matrices = []
-    for player, rows in ((0, game.payoffs), (1, list(zip(*game.payoffs)))):
-        values = [[cell[player] for cell in row] for row in rows]
-        expected = shifted_matrix(values)
-        assert nash._positive_matrix([v for row in values for v in row], len(values[0])) == expected
-        matrices.append(expected[0])
-    return matrices
+    a_by_row, _, _ = nash._positive_matrix([a for row in game.payoffs for a, _ in row], m)
+    b_by_col, _, _ = nash._positive_matrix([b for col in zip(*game.payoffs) for _, b in col], n)
+    return a_by_row, b_by_col
 
 
 def assert_vertices_match_oracle(game):
@@ -648,13 +631,28 @@ def test_tied_column_maxima_give_one_vertex_tight_on_every_tied_row(constraints)
     assert dict(found) == nash_oracle.vertices(*args)
 
 
+def test_cramer_plan_holds_only_the_levels_some_system_reads():
+    # Level k holds the systems of size k, or the bordered minors of those of
+    # size k - 1; a polytope with one column has no system of size 2 at all.
+    for n_rows in range(1, 6):
+        for n_cols in range(1, 6):
+            plan = nash._cramer_plan(n_rows, n_cols)
+            solves = [any(systems for _, systems in supports) for _, supports in plan]
+            assert all(solves[k] or (k and solves[k - 1]) for k in range(len(plan)))
+            count = sum(len(systems) for _, supports in plan for _, systems in supports)
+            sizes = range(2, min(n_rows, n_cols) + 1)
+            assert count == sum(math.comb(n_rows, k) * math.comb(n_cols, k) for k in sizes)
+    assert [nash._cramer_plan(n, 1) for n in range(1, 6)] == [[]] * 5
+    assert sum(len(systems) for _, supports in nash._cramer_plan(3, 3) for _, systems in supports) == 10
+
+
 def test_vertices_match_oracles_where_the_opponent_keeps_two_more_strategies():
     # In each shape one player's opponent has at least two more strategies
     # than that player, so a vertex of full support still has constraints
     # outside its tight set, and their slacks are read off minors one size
     # past the largest support.
     rng = random.Random(79)
-    for n, m in [(4, 1), (1, 4), (4, 2), (2, 4), (5, 2)]:
+    for n, m in [(4, 1), (1, 4), (2, 1), (1, 2), (4, 2), (2, 4), (5, 2)]:
         for _ in range(25):
             game = grid_game([(rng.randrange(3), rng.randrange(3)) for _ in range(n * m)], n, m)
             assert_vertices_match_oracle(game)
