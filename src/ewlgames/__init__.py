@@ -21,7 +21,7 @@ _EXPORTS = {
     "games": "BimatrixGame Payoff StrategyBijection VariantKind find_isomorphism"
              " game_from_json_dict game_to_json_dict is_generic make_game random_generic_game"
              " rational snapped variant",
-    "nash": "EquilibriumReport MixedProfile mixed_payoff pure_equilibria report_to_json_dict"
+    "nash": "EquilibriumReport MixedProfile pure_equilibria report_to_json_dict"
             " support_enumeration verify_equilibrium",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -317,25 +317,12 @@ def cmd_isocheck(args) -> tuple[int, str, str | None]:
     return EXIT_OK, "\n".join(lines) + "\n", None
 
 
-def _sixths(t: Fraction) -> int | None:
-    """theta = t*pi in sixths of pi, where it is on the exact grid (`UnitaryParams.grid_point`)."""
-    return t.numerator * (6 // t.denominator) if t.denominator <= 3 else None
-
-
-def _quarters(a: Fraction) -> int | None:
-    """alpha or beta = a*pi in quarters of pi mod 4, where it is on the exact grid."""
-    return a.numerator * (4 // a.denominator) % 4 if 4 % a.denominator == 0 else None
-
-
-def _angle_list(
-    raw: str, part, place
-) -> list[tuple[str, Fraction | float, tuple | None, int | None]]:
+def _angle_list(raw: str, part) -> list[tuple[str, Fraction | float, tuple | None, int | None]]:
     """The non-empty comma-separated tokens of ``raw``, stripped, each with its parsed angle.
 
-    Each exact angle also carries ``part(angle)``, its reduction by
-    `UnitaryParams.theta_part` or `UnitaryParams.phase_part`, and ``place``
-    of that reduced multiple of pi: `_sixths` or `_quarters`.  A float angle,
-    or an exact one that ``part`` rejects, carries None for both.
+    Each exact angle also carries ``part(angle)``, its reduction by `UnitaryParams.theta_part`
+    or `UnitaryParams.phase_part`, and that part's grid place.  A float angle, or an exact one
+    that ``part`` rejects, carries None for both.
     """
     if not isinstance(raw, str):  # argparse reads "--thetas=--" as []
         raise CliError(f"cannot parse angle list {raw!r}", EXIT_BAD_INPUT)
@@ -349,8 +336,7 @@ def _angle_list(
             reduced_angle = part(angle) if isinstance(angle, Fraction) else None
         except ValueError:
             reduced_angle = None
-        at = place(reduced_angle[0]) if reduced_angle else None
-        reduced.append((tok, angle, reduced_angle, at))
+        reduced.append((tok, angle, reduced_angle, reduced_angle and reduced_angle[2]))
     return reduced
 
 
@@ -380,10 +366,9 @@ def cmd_sweep(args) -> tuple[int, str, str | None]:
         raise CliError(f"sweep needs a 2x2 game, got {game.shape}", EXIT_DOMAIN)
     # Every token is parsed, and every exact one reduced, before any point is
     # solved.
-    thetas = _angle_list(args.thetas, UnitaryParams.theta_part, _sixths)
-    alphas, betas = [
-        _angle_list(raw, UnitaryParams.phase_part, _quarters) for raw in (args.alphas, args.betas)
-    ]
+    thetas = _angle_list(args.thetas, UnitaryParams.theta_part)
+    alphas = _angle_list(args.alphas, UnitaryParams.phase_part)
+    betas = _angle_list(args.betas, UnitaryParams.phase_part)
 
     import csv
 
@@ -395,18 +380,19 @@ def cmd_sweep(args) -> tuple[int, str, str | None]:
     # A row after its angles depends only on the operator's outcome-weight
     # table, so each table is built, classified and solved once.  The key
     # holds `exact` too, because int and float tables can compare equal.
-    # On the exact grid the table is a function of the three tokens' places
-    # (`outcome_weights`), so a point whose place was seen reuses its row
-    # without building its operator.  Points with a float or off-grid token
-    # are built one by one: float tables at a and a + pi can differ in the
-    # last bit.  The memos belong to this call, so they never outgrow one
-    # sweep.
+    # On the exact grid the table is a function of the places the tokens'
+    # parts carry, and it reads alpha and beta only through 2*alpha and
+    # 2*beta, so a point whose places, the phases' mod 4, were seen reuses
+    # its row without building its operator.  Points with a float or
+    # off-grid token are built one by one: float tables at a and a + pi can
+    # differ in the last bit.  The memos belong to this call, so they never
+    # outgrow one sweep.
     rows: dict[tuple, list[str]] = {}
     by_place: dict[tuple[int, int, int], list[str]] = {}
     for (t_tok, theta, t, ts), (a_tok, alpha, a, qa), (b_tok, beta, b, qb) in product(
         thetas, alphas, betas
     ):
-        place = (ts, qa, qb)
+        place = None if None in (ts, qa, qb) else (ts, qa % 4, qb % 4)
         row = by_place.get(place)
         if row is None:
             if t and a and b:
@@ -419,7 +405,7 @@ def cmd_sweep(args) -> tuple[int, str, str | None]:
             row = rows.get(key)
             if row is None:
                 row = rows[key] = _sweep_row(game, params, args.allow_float_solve)
-            if None not in place:
+            if place is not None:
                 by_place[place] = row
         writer.writerow([t_tok, a_tok, b_tok, *row])
     if args.out is not None:

@@ -27,6 +27,18 @@ FLOAT_TOL = 1e-9
 
 _TWO_PI = 2.0 * math.pi
 
+# The exact grid's one rule, by axis, which `_place` applies: theta counts in
+# sixths of pi where its multiple of pi has a denominator d of at most 3, alpha
+# and beta in quarters where d divides 4.  d maps to its units, 6/d or 4/d.
+_SIXTHS = {d: 6 // d for d in (1, 2, 3)}
+_QUARTERS = {d: 4 // d for d in (1, 2, 4)}
+
+
+def _place(multiple: Fraction, units: dict[int, int]) -> int | None:
+    """``multiple`` of pi in the ``units`` of one axis, or None off the grid."""
+    unit = units.get(multiple.denominator)
+    return None if unit is None else multiple.numerator * unit
+
 
 class UnitaryParams(NamedTuple):
     """Strategy parameters (theta, alpha, beta) in radians.
@@ -47,8 +59,9 @@ class UnitaryParams(NamedTuple):
         """Build from rational multiples of pi, e.g. exact_pi(0, Fraction(1, 2), 0).
 
         This is two reductions, `theta_part` of theta and `phase_part` of
-        alpha and beta, put together by `from_parts`; a sweep reduces each
-        token once and builds every point from the parts.
+        alpha and beta, put together by `from_parts`.  A sweep reduces each
+        token once, keys its memo on the grid places the parts carry, and
+        builds every point from the parts.
         """
         return cls.from_parts(cls.theta_part(theta), cls.phase_part(alpha), cls.phase_part(beta))
 
@@ -58,18 +71,24 @@ class UnitaryParams(NamedTuple):
         return cls(theta[1], alpha[1], beta[1], (theta[0], alpha[0], beta[0]))
 
     @staticmethod
-    def theta_part(theta) -> tuple[Fraction, float]:
-        """theta, a multiple of pi, checked against [0, 1], with its radians."""
+    def theta_part(theta) -> tuple[Fraction, float, int | None]:
+        """theta, a multiple of pi, checked against [0, 1], with its radians and place in sixths.
+
+        This is the one range check of an exact theta.  Off the grid the place is None.
+        """
         t = Fraction(theta)
         if not 0 <= t <= 1:
             raise ValueError(f"theta = {t}*pi outside [0, pi]")
-        return t, float(t) * math.pi
+        return t, float(t) * math.pi, _place(t, _SIXTHS)
 
     @staticmethod
-    def phase_part(angle) -> tuple[Fraction, float]:
-        """alpha or beta, a multiple of pi, reduced mod 2, with its radians."""
+    def phase_part(angle) -> tuple[Fraction, float, int | None]:
+        """alpha or beta, a multiple of pi, reduced mod 2, with its radians and place in quarters.
+
+        The place lies in 0..7, or is None off the grid.
+        """
         a = Fraction(angle) % 2
-        return a, float(a) * math.pi
+        return a, float(a) * math.pi, _place(a, _QUARTERS)
 
     @classmethod
     def from_radians(cls, theta: float, alpha: float, beta: float) -> "UnitaryParams":
@@ -102,19 +121,16 @@ class UnitaryParams(NamedTuple):
         pi/3 or pi/2, with alpha and beta multiples of pi/4.  By Niven's
         theorem it is where every extension is rational.  On it, theta is
         sixths*pi/6, alpha qa*pi/4 and beta qb*pi/4, read off the pi
-        multiples as they are stored, unreduced.  A float operator is never
-        on it.
+        multiples as they are stored, unreduced, by `_place`, the grid's one
+        rule.  A float operator is never on it.
         """
         if self.pi_multiples is None:
             return None
         t, a, b = self.pi_multiples
-        if t.denominator > 3 or 4 % a.denominator or 4 % b.denominator:
-            return None
-        return (
-            t.numerator * (6 // t.denominator),
-            a.numerator * (4 // a.denominator),
-            b.numerator * (4 // b.denominator),
-        )
+        sixths = _place(t, _SIXTHS)
+        qa = None if sixths is None else _place(a, _QUARTERS)
+        qb = None if qa is None else _place(b, _QUARTERS)
+        return None if qb is None else (sixths, qa, qb)
 
 
 def parse_angle(token: str) -> Fraction | float:
@@ -154,11 +170,12 @@ def format_angle(value: Fraction | float) -> str | float:
 
 def params_from_angles(theta, alpha, beta) -> UnitaryParams:
     """Build UnitaryParams from `parse_angle` outputs, exact when all are."""
-    angles = (theta, alpha, beta)
-    if all(isinstance(v, Fraction) for v in angles):
+    if all(isinstance(v, Fraction) for v in (theta, alpha, beta)):
         return UnitaryParams.exact_pi(theta, alpha, beta)
-    as_float = [float(v) * math.pi if isinstance(v, Fraction) else v for v in angles]
-    return UnitaryParams.from_radians(*as_float)
+    if isinstance(theta, Fraction):  # range-checked as written, on every route
+        theta = UnitaryParams.theta_part(theta)[1]
+    alpha, beta = (float(v) * math.pi if isinstance(v, Fraction) else v for v in (alpha, beta))
+    return UnitaryParams.from_radians(theta, alpha, beta)
 
 
 # Named operators: the two classical strategies and the commonly studied Q.

@@ -116,21 +116,17 @@ def _pure_values(
     return rows, cols
 
 
-def _expected(p: tuple[Fraction, ...], values: list[Fraction]) -> Fraction:
-    """A player's expected payoff: its mixture dotted with its pure-strategy values."""
-    return sum((pi * v for pi, v in zip(p, values) if pi), _ZERO)
-
-
-def mixed_payoff(game: BimatrixGame, profile: MixedProfile) -> Payoff:
-    """Exact expected payoff pair under a mixed profile."""
-    rows, cols = _pure_values(game, profile)
-    return (_expected(profile.p1, rows), _expected(profile.p2, cols))
-
-
 def verify_equilibrium(game: BimatrixGame, profile: MixedProfile) -> bool:
-    """True iff neither player has a pure deviation that strictly gains."""
+    """True iff neither player has a pure deviation that strictly gains.
+
+    That is, no pure-strategy value beats the player's expected payoff: its
+    mixture dotted with those values.
+    """
     rows, cols = _pure_values(game, profile)
-    return max(rows) <= _expected(profile.p1, rows) and max(cols) <= _expected(profile.p2, cols)
+    return all(
+        max(values) <= sum((q * v for q, v in zip(mixture, values) if q), _ZERO)
+        for mixture, values in ((profile.p1, rows), (profile.p2, cols))
+    )
 
 
 # A vertex in integer form: numerators over one positive denominator, in

@@ -566,9 +566,10 @@ def test_failed_sweep_leaves_no_output(pd_file, tmp_path, capsys, thetas, code):
 
 def test_sweep_operators_equal_pointwise_operators(pd_file, capsys, monkeypatch):
     # Exact tokens outside their reduced range, near-grid floats that snap
-    # onto the grid, and plain floats.
+    # onto the grid, and plain floats.  4/3pi is off the grid and pi from
+    # 1/3pi, so a place rule that merged off-grid phases mod pi fails here.
     thetas = ["0", "1/3pi", "1/2pi", "pi", "1.5707963272", "0.8", "1/6pi"]
-    phases = ["-pi", "9/4pi", "2pi", "-1/4pi", "1/3pi", "0.7853981634", "1.1"]
+    phases = ["-pi", "9/4pi", "2pi", "-1/4pi", "1/3pi", "4/3pi", "0.7853981634", "1.1"]
     built = []
 
     def weights(params):
@@ -611,9 +612,11 @@ def test_sweep_operators_equal_pointwise_operators(pd_file, capsys, monkeypatch)
     [
         (["sweep", "{pd}", "--thetas", "1/2pi,2pi", "--alphas", "0", "--betas", "0"], 3,
          "theta = 2*pi outside [0, pi]"),
-        # A float angle takes the pointwise route, which checks theta in radians.
+        # A float angle takes the pointwise route, which still names an exact theta as written.
         (["sweep", "{pd}", "--thetas", "1/2pi,2pi", "--alphas", "0.3,0", "--betas", "0"], 3,
-         "theta = 6.283185307179586 outside [0, pi]"),
+         "theta = 2*pi outside [0, pi]"),
+        (["classify", "--theta", "2pi", "--alpha", "0.3", "--beta", "0"], 3,
+         "theta = 2*pi outside [0, pi]"),
         (["solve", "{missing}"], 2,
          "cannot read {missing}: [Errno 2] No such file or directory: '{missing}'"),
         (["sweep", "{gi3}", "--thetas", "0", "--alphas", "0", "--betas", "0"], 3,
@@ -623,8 +626,8 @@ def test_sweep_operators_equal_pointwise_operators(pd_file, capsys, monkeypatch)
         (["sweep", "{pd}", "--thetas=--", "--alphas", "0", "--betas", "0"], 2,
          "cannot parse angle list []"),
     ],
-    ids=["sweep-theta-exact", "sweep-theta-float-alpha", "missing-file", "sweep-3x3",
-         "reproduce-3x3", "sweep-empty-list"],
+    ids=["sweep-theta-exact", "sweep-theta-float-alpha", "classify-theta-float-alpha",
+         "missing-file", "sweep-3x3", "reproduce-3x3", "sweep-empty-list"],
 )
 def test_error_is_one_pinned_line(pd_file, write_json, tmp_path, capsys, argv, code, message):
     paths = {"{pd}": pd_file, "{gi3}": write_json("gi3.json", GI3_JSON),

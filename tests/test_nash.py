@@ -14,7 +14,6 @@ from ewlgames import (
     UnitaryParams,
     build_extension,
     make_game,
-    mixed_payoff,
     nash,
     outcome_weights,
     pure_equilibria,
@@ -215,24 +214,24 @@ def test_solve_1x1_game():
 
 def test_mixed_payoff_crossed_average_family():
     quarter = profile((F(1, 4), F(1, 4), F(1, 2)), (F(1, 4), F(1, 4), F(1, 2)))
-    assert mixed_payoff(game3(QQ3PD), quarter) == (F(9, 4), F(9, 4))
+    assert nash_oracle.mixed_payoff(game3(QQ3PD), quarter) == (F(9, 4), F(9, 4))
 
 
 def test_mixed_payoff_degenerate_mixture_is_cell(pd):
     for i in range(2):
         for j in range(2):
             prof = profile([int(i == k) for k in range(2)], [int(j == k) for k in range(2)])
-            assert mixed_payoff(pd, prof) == pd.payoff(i, j)
+            assert nash_oracle.mixed_payoff(pd, prof) == pd.payoff(i, j)
 
 
 def test_mixed_payoff_full_support_value():
     full = (F(14, 25), F(2, 25), F(9, 25))
-    assert mixed_payoff(game3(PD3_BOTH), profile(full, full)) == (F(51, 25), F(51, 25))
+    assert nash_oracle.mixed_payoff(game3(PD3_BOTH), profile(full, full)) == (F(51, 25), F(51, 25))
 
 
 def test_mixed_payoff_dimension_mismatch(pd):
     with pytest.raises(ValueError):
-        mixed_payoff(pd, HALF_SUPPORT)
+        nash_oracle.mixed_payoff(pd, HALF_SUPPORT)
 
 
 def test_verify_equilibrium_cases(pd):
@@ -289,7 +288,7 @@ def test_checker_matches_two_pass_oracle(data):
     if kind == "wrong-shape":
         wrong = data.draw(st.sampled_from([(n % 3 + 1, m), (n, m % 3 + 1)]))
         prof = MixedProfile(data.draw(mixtures(wrong[0])), data.draw(mixtures(wrong[1])))
-        for check in (verify_equilibrium, mixed_payoff, nash_oracle.verify_equilibrium,
+        for check in (verify_equilibrium, nash_oracle.verify_equilibrium,
                       nash_oracle.mixed_payoff):
             with pytest.raises(ValueError):
                 check(g, prof)
@@ -299,7 +298,6 @@ def test_checker_matches_two_pass_oracle(data):
     else:
         prof = MixedProfile(data.draw(mixtures(n)), data.draw(mixtures(m)))
     assert verify_equilibrium(g, prof) == nash_oracle.verify_equilibrium(g, prof)
-    assert mixed_payoff(g, prof) == nash_oracle.mixed_payoff(g, prof)
 
 
 # --- solver properties ------------------------------------------------------
@@ -317,7 +315,7 @@ def test_every_reported_equilibrium_verifies(shape):
             assert verify_equilibrium(g, MixedProfile(p1, p2))
         for prof, pay in report.mixed:
             assert verify_equilibrium(g, prof)
-            assert mixed_payoff(g, prof) == pay
+            assert nash_oracle.mixed_payoff(g, prof) == pay
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (3, 3)])
