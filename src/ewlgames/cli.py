@@ -317,27 +317,15 @@ def cmd_isocheck(args) -> tuple[int, str, str | None]:
     return EXIT_OK, "\n".join(lines) + "\n", None
 
 
-def _angle_list(raw: str, part) -> list[tuple[str, Fraction | float, tuple | None, int | None]]:
-    """The non-empty comma-separated tokens of ``raw``, stripped, each with its parsed angle.
-
-    Each exact angle also carries ``part(angle)``, its reduction by `UnitaryParams.theta_part`
-    or `UnitaryParams.phase_part`, and that part's grid place.  A float angle, or an exact one
-    that ``part`` rejects, carries None for both.
-    """
+def _angle_list(raw: str) -> list[tuple[str, Fraction | float]]:
+    """The non-empty comma-separated tokens of ``raw``, stripped, each with its parsed angle."""
     if not isinstance(raw, str):  # argparse reads "--thetas=--" as []
         raise CliError(f"cannot parse angle list {raw!r}", EXIT_BAD_INPUT)
     with _failing(EXIT_BAD_INPUT):
         angles = [(tok.strip(), parse_angle(tok)) for tok in raw.split(",") if tok.strip()]
     if not angles:
         raise CliError(f"angle list {raw!r} holds no angle", EXIT_BAD_INPUT)
-    reduced = []
-    for tok, angle in angles:
-        try:
-            reduced_angle = part(angle) if isinstance(angle, Fraction) else None
-        except ValueError:
-            reduced_angle = None
-        reduced.append((tok, angle, reduced_angle, reduced_angle and reduced_angle[2]))
-    return reduced
+    return angles
 
 
 def _sweep_row(game: BimatrixGame, params: UnitaryParams, allow_float_solve: bool) -> list[str]:
@@ -364,11 +352,14 @@ def cmd_sweep(args) -> tuple[int, str, str | None]:
     game, _ = _load_game(args.game)
     if game.shape != (2, 2):
         raise CliError(f"sweep needs a 2x2 game, got {game.shape}", EXIT_DOMAIN)
-    # Every token is parsed, and every exact one reduced, before any point is
-    # solved.
-    thetas = _angle_list(args.thetas, UnitaryParams.theta_part)
-    alphas = _angle_list(args.alphas, UnitaryParams.phase_part)
-    betas = _angle_list(args.betas, UnitaryParams.phase_part)
+    # Before any point is solved, every token is parsed, so a malformed one is
+    # exit 2 as for one point, and then read by its part, `theta_part` or
+    # `phase_part`, so a theta out of range is exit 3.
+    lists = [_angle_list(raw) for raw in (args.thetas, args.alphas, args.betas)]
+    parts = (UnitaryParams.theta_part, UnitaryParams.phase_part, UnitaryParams.phase_part)
+    with _failing(EXIT_DOMAIN):
+        thetas, alphas, betas = [[(tok, part(angle)) for tok, angle in angles]
+                                 for part, angles in zip(parts, lists)]
 
     import csv
 
@@ -389,18 +380,11 @@ def cmd_sweep(args) -> tuple[int, str, str | None]:
     # outgrow one sweep.
     rows: dict[tuple, list[str]] = {}
     by_place: dict[tuple[int, int, int], list[str]] = {}
-    for (t_tok, theta, t, ts), (a_tok, alpha, a, qa), (b_tok, beta, b, qb) in product(
-        thetas, alphas, betas
-    ):
-        place = None if None in (ts, qa, qb) else (ts, qa % 4, qb % 4)
+    for (t_tok, t), (a_tok, a), (b_tok, b) in product(thetas, alphas, betas):
+        place = None if None in (t[2], a[2], b[2]) else (t[2], a[2] % 4, b[2] % 4)
         row = by_place.get(place)
         if row is None:
-            if t and a and b:
-                params = UnitaryParams.from_parts(t, a, b)
-            else:
-                # A float angle, or a theta out of range, which this reports.
-                with _failing(EXIT_DOMAIN):
-                    params = params_from_angles(theta, alpha, beta)
+            params = UnitaryParams.from_parts(t, a, b)
             key = outcome_weights(params)
             row = rows.get(key)
             if row is None:

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .games import BimatrixGame
 
-# Radians within which `UnitaryParams.from_radians` snaps angles onto the exact grid.
+# Radians within which `UnitaryParams.from_parts` snaps angles onto the exact grid.
 FLOAT_TOL = 1e-9
 
 _TWO_PI = 2.0 * math.pi
@@ -58,53 +58,27 @@ class UnitaryParams(NamedTuple):
     def exact_pi(cls, theta, alpha, beta) -> "UnitaryParams":
         """Build from rational multiples of pi, e.g. exact_pi(0, Fraction(1, 2), 0).
 
-        This is two reductions, `theta_part` of theta and `phase_part` of
-        alpha and beta, put together by `from_parts`.  A sweep reduces each
-        token once, keys its memo on the grid places the parts carry, and
-        builds every point from the parts.
+        A float argument is a multiple of pi too, so exact_pi(0.5, 0, 0) is pi/2.
         """
-        return cls.from_parts(cls.theta_part(theta), cls.phase_part(alpha), cls.phase_part(beta))
+        return params_from_angles(*(Fraction(v) if isinstance(v, float) else v
+                                    for v in (theta, alpha, beta)))
 
     @classmethod
     def from_parts(cls, theta, alpha, beta) -> "UnitaryParams":
-        """The operator of three reduced parts: one `theta_part` and two `phase_part`."""
-        return cls(theta[1], alpha[1], beta[1], (theta[0], alpha[0], beta[0]))
+        """The operator of three parts: one `theta_part` and two `phase_part`.
 
-    @staticmethod
-    def theta_part(theta) -> tuple[Fraction, float, int | None]:
-        """theta, a multiple of pi, checked against [0, 1], with its radians and place in sixths.
-
-        This is the one range check of an exact theta.  Off the grid the place is None.
+        Every constructor builds through here.  It is exact when all three
+        parts carry their multiple of pi.  Otherwise it is the one place float
+        angles become exact: if theta, alpha and beta are each within
+        FLOAT_TOL of a point of the exact grid (see `grid_point`), this is the
+        exact operator there.  Any other operator stays float.
         """
-        t = Fraction(theta)
-        if not 0 <= t <= 1:
-            raise ValueError(f"theta = {t}*pi outside [0, pi]")
-        return t, float(t) * math.pi, _place(t, _SIXTHS)
-
-    @staticmethod
-    def phase_part(angle) -> tuple[Fraction, float, int | None]:
-        """alpha or beta, a multiple of pi, reduced mod 2, with its radians and place in quarters.
-
-        The place lies in 0..7, or is None off the grid.
-        """
-        a = Fraction(angle) % 2
-        return a, float(a) * math.pi, _place(a, _QUARTERS)
-
-    @classmethod
-    def from_radians(cls, theta: float, alpha: float, beta: float) -> "UnitaryParams":
-        """Build from float radians: the one place float angles become exact.
-
-        If theta, and alpha and beta (mod 2*pi), are each within FLOAT_TOL of
-        a point of the exact grid (see `grid_point`), this is the `exact_pi`
-        operator there.  Any other operator stays float.  theta may
-        overshoot [0, pi] by FLOAT_TOL and is clamped.
-        """
-        if not -FLOAT_TOL <= theta <= math.pi + FLOAT_TOL:
-            raise ValueError(f"theta = {theta} outside [0, pi]")
-        for name, value in (("alpha", alpha), ("beta", beta)):
+        angles = (theta[1], alpha[1], beta[1])
+        if theta[0] is not None and alpha[0] is not None and beta[0] is not None:
+            return cls(*angles, (theta[0], alpha[0], beta[0]))
+        for name, value in (("alpha", alpha[1]), ("beta", beta[1])):
             if not math.isfinite(value):
                 raise ValueError(f"{name} = {value} is not a finite angle")
-        angles = (min(max(theta, 0.0), math.pi), alpha % _TWO_PI, beta % _TWO_PI)
         steps = (6, 4, 4)  # theta in sixths of pi, alpha and beta in quarters
         ks = [round(v * n / math.pi) for v, n in zip(angles, steps)]
         if all(abs(v - k * math.pi / n) <= FLOAT_TOL for v, k, n in zip(angles, ks, steps)):
@@ -112,6 +86,42 @@ class UnitaryParams(NamedTuple):
             if near.grid_point is not None:
                 return near
         return cls(*angles)
+
+    @staticmethod
+    def theta_part(theta) -> tuple[Fraction | None, float, int | None]:
+        """theta checked against [0, pi], with its multiple of pi, radians and place in sixths.
+
+        This is the one range check of theta.  A float is radians, clamped
+        within FLOAT_TOL of [0, pi], with no multiple or place.  Anything else
+        is a multiple of pi; off the grid its place is None.
+        """
+        if isinstance(theta, float):
+            if not -FLOAT_TOL <= theta <= math.pi + FLOAT_TOL:
+                raise ValueError(f"theta = {theta} outside [0, pi]")
+            return None, min(max(theta, 0.0), math.pi), None
+        t = Fraction(theta)
+        if not 0 <= t <= 1:
+            raise ValueError(f"theta = {t}*pi outside [0, pi]")
+        return t, float(t) * math.pi, _place(t, _SIXTHS)
+
+    @staticmethod
+    def phase_part(angle) -> tuple[Fraction | None, float, int | None]:
+        """alpha or beta reduced, with its multiple of pi, radians and place in quarters.
+
+        A float is radians, reduced mod 2*pi if finite, with no multiple or
+        place.  Anything else is a multiple of pi reduced mod 2, so its radians
+        do not depend on its spelling; its place lies in 0..7, or is None off
+        the grid.
+        """
+        if isinstance(angle, float):
+            return None, angle % _TWO_PI if math.isfinite(angle) else angle, None
+        a = Fraction(angle) % 2
+        return a, float(a) * math.pi, _place(a, _QUARTERS)
+
+    @classmethod
+    def from_radians(cls, theta: float, alpha: float, beta: float) -> "UnitaryParams":
+        """Build from float radians: `params_from_angles` of the arguments as floats."""
+        return params_from_angles(*map(float, (theta, alpha, beta)))
 
     @property
     def grid_point(self) -> tuple[int, int, int] | None:
@@ -169,13 +179,14 @@ def format_angle(value: Fraction | float) -> str | float:
 
 
 def params_from_angles(theta, alpha, beta) -> UnitaryParams:
-    """Build UnitaryParams from `parse_angle` outputs, exact when all are."""
-    if all(isinstance(v, Fraction) for v in (theta, alpha, beta)):
-        return UnitaryParams.exact_pi(theta, alpha, beta)
-    if isinstance(theta, Fraction):  # range-checked as written, on every route
-        theta = UnitaryParams.theta_part(theta)[1]
-    alpha, beta = (float(v) * math.pi if isinstance(v, Fraction) else v for v in (alpha, beta))
-    return UnitaryParams.from_radians(theta, alpha, beta)
+    """Build UnitaryParams from `parse_angle` outputs, exact when all are.
+
+    A float is radians and a Fraction a multiple of pi, read by `theta_part`
+    and `phase_part` and put together by `from_parts`.
+    """
+    return UnitaryParams.from_parts(UnitaryParams.theta_part(theta),
+                                    UnitaryParams.phase_part(alpha),
+                                    UnitaryParams.phase_part(beta))
 
 
 # Named operators: the two classical strategies and the commonly studied Q.

@@ -83,7 +83,7 @@ def classify(params: UnitaryParams) -> ExtensionClass:
     """Invariance family of an operator.
 
     Only grid points with theta = pi/2 can be invariant; a float operator is
-    never on the grid, since `UnitaryParams.from_radians` makes every
+    never on the grid, since `UnitaryParams.from_parts` makes every
     operator near it exact.  There n and m, alpha and beta in units of pi/4
     modulo 8, read off the family, and the witness (k, l) is half their
     difference and sum.

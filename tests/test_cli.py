@@ -408,6 +408,18 @@ def test_failed_tied_isocheck_prints_only_its_error(write_json):
     assert result.stderr == "error: extensions need a 2x2 game, got (3, 3)\n"
 
 
+def test_extend_writes_an_unreduced_phase_beside_floats_reduced(pd_file, tmp_path, capsys):
+    written = []
+    for alpha in ("-46pi", "0"):
+        out_path = tmp_path / f"ext{len(written)}.json"
+        code, _, _ = run(capsys, "extend", pd_file, "--theta", "0.8", f"--alpha={alpha}",
+                         "--beta", "0.3", "-o", str(out_path))
+        assert code == 0
+        written.append(out_path.read_bytes())
+    assert written[0] == written[1]
+    assert json.loads(written[0])["params"]["alpha"] == 0.0
+
+
 def test_sweep_csv(pd_file, capsys):
     code, out, _ = run(
         capsys, "sweep", pd_file,
@@ -502,6 +514,15 @@ def test_sweep_solves_each_distinct_grid_once(pd_file, capsys, monkeypatch):
     code, out, _ = run(capsys, "sweep", pd_file, *FULL_GRID)
     assert code == 0 and len(out.splitlines()) == 1 + 320
     assert len(calls) == len(set(calls)) == 45
+
+
+@pytest.mark.parametrize("theta, shown", [("2pi", "2*pi"), ("4.0", "4.0")], ids=["exact", "float"])
+def test_sweep_refuses_a_bad_theta_before_any_solve(pd_file, capsys, monkeypatch, theta, shown):
+    calls = counting_solver(monkeypatch)
+    code, out, err = run(capsys, "sweep", pd_file, "--thetas", f"0,1/3pi,1/2pi,2/3pi,pi,{theta}",
+                         "--alphas", QUARTER_PI, "--betas", QUARTER_PI)
+    assert (code, out, len(calls)) == (3, "", 0)
+    assert err == f"error: theta = {shown} outside [0, pi]\n"
 
 
 def test_sweep_builds_each_weight_table_once(pd_file, capsys, monkeypatch):
@@ -612,11 +633,14 @@ def test_sweep_operators_equal_pointwise_operators(pd_file, capsys, monkeypatch)
     [
         (["sweep", "{pd}", "--thetas", "1/2pi,2pi", "--alphas", "0", "--betas", "0"], 3,
          "theta = 2*pi outside [0, pi]"),
-        # A float angle takes the pointwise route, which still names an exact theta as written.
+        # Beside a float angle, an exact theta is still named as written.
         (["sweep", "{pd}", "--thetas", "1/2pi,2pi", "--alphas", "0.3,0", "--betas", "0"], 3,
          "theta = 2*pi outside [0, pi]"),
         (["classify", "--theta", "2pi", "--alpha", "0.3", "--beta", "0"], 3,
          "theta = 2*pi outside [0, pi]"),
+        # Every token is parsed before any is checked, as for one point.
+        (["sweep", "{pd}", "--thetas", "2pi", "--alphas", "0,foo", "--betas", "0"], 2,
+         "cannot parse angle 'foo'"),
         (["solve", "{missing}"], 2,
          "cannot read {missing}: [Errno 2] No such file or directory: '{missing}'"),
         (["sweep", "{gi3}", "--thetas", "0", "--alphas", "0", "--betas", "0"], 3,
@@ -627,6 +651,7 @@ def test_sweep_operators_equal_pointwise_operators(pd_file, capsys, monkeypatch)
          "cannot parse angle list []"),
     ],
     ids=["sweep-theta-exact", "sweep-theta-float-alpha", "classify-theta-float-alpha",
+         "sweep-token-before-theta",
          "missing-file", "sweep-3x3", "reproduce-3x3", "sweep-empty-list"],
 )
 def test_error_is_one_pinned_line(pd_file, write_json, tmp_path, capsys, argv, code, message):

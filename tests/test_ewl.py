@@ -23,6 +23,7 @@ from ewlgames import (
     payoff_from_state,
     unitary_matrix,
 )
+from ewlgames.ewl import FLOAT_TOL
 from ewlgames.selfcheck import oracle_deviation
 
 KET = {name: np.eye(4, dtype=complex)[i] for i, name in enumerate(("00", "01", "10", "11"))}
@@ -69,6 +70,55 @@ def test_non_finite_phase_rejected(name, value):
     angles = {"theta": math.pi / 2, "alpha": 0.0, "beta": 0.0, name: value}
     with pytest.raises(ValueError, match=f"{name} = .* not a finite angle"):
         UnitaryParams.from_radians(**angles)
+
+
+# Denominators of pi in quarters, sixths and beyond, on the grid and off it.
+PHASE_DENOMINATORS = (1, 2, 3, 4, 5, 6, 8, 12, 24)
+
+
+def test_an_exact_phase_gives_one_operator_in_every_spelling():
+    for d in PHASE_DENOMINATORS:
+        for n in range(-48, 49):
+            phase = F(n, d)
+            assert params_from_angles(0.8, phase, 0.3) == params_from_angles(0.8, phase % 2, 0.3)
+            assert params_from_angles(0.8, 0.3, phase) == params_from_angles(0.8, 0.3, phase % 2)
+
+
+@pytest.mark.parametrize(
+    "x, y, z",
+    [(0, 0, 0), (1, F(5, 2), F(-1, 4)), (F(1, 3), F(-9, 4), 5), (F(1, 5), F(1, 7), F(2, 3)),
+     (0.5, 0.25, 0)],
+    ids=["zero", "unreduced", "off-grid-theta", "off-grid", "float"],
+)
+def test_exact_pi_is_params_from_angles_of_fractions(x, y, z):
+    assert UnitaryParams.exact_pi(x, y, z) == params_from_angles(F(x), F(y), F(z))
+
+
+@pytest.mark.parametrize(
+    "angles, point",
+    [
+        ((math.pi / 2, math.pi / 4, 3 * math.pi / 4), (3, 1, 3)),
+        ((math.pi / 2 + 4e-10, math.pi / 4 - 4e-10, 2 * math.pi - 5e-10), (3, 1, 0)),
+        ((-FLOAT_TOL / 2, 0.0, 0.0), (0, 0, 0)),
+        ((math.pi + FLOAT_TOL / 2, -math.pi / 2, 9.0), None),
+        ((math.pi / 2, math.pi / 2 + 1.1e-9, 0.0), None),
+        ((0.8, 0.3, 1.1), None),
+    ],
+    ids=["on", "near", "under-zero", "over-pi", "just-beyond", "off"],
+)
+def test_from_radians_is_params_from_angles_of_floats(angles, point):
+    p = UnitaryParams.from_radians(*angles)
+    assert p == params_from_angles(*angles)
+    assert p.grid_point == point
+
+
+def test_constructor_contract_edges():
+    snapped = params_from_angles(F(1, 2), 0.7853981634, F(0))
+    assert snapped.pi_multiples == (F(1, 2), F(1, 4), F(0))
+    half = UnitaryParams.exact_pi(0.5, 0, 0)
+    assert half.theta == math.pi / 2 and half.pi_multiples == (F(1, 2), F(0), F(0))
+    with pytest.raises(ValueError, match=r"^alpha = nan is not a finite angle$"):
+        UnitaryParams.from_radians(0.1, math.nan, 0)
 
 
 def test_phases_reduce_modulo_two_pi():
