@@ -23,6 +23,8 @@ from typing import TYPE_CHECKING
 
 from .ewl import UnitaryParams, parse_angle, params_from_angles
 from .extension import (
+    _classical_payoffs,
+    _integer_cells,
     build_extension,
     classify,
     empirical_invariance,
@@ -328,23 +330,44 @@ def _angle_list(raw: str) -> list[tuple[str, Fraction | float]]:
     return angles
 
 
-def _sweep_row(game: BimatrixGame, params: UnitaryParams, allow_float_solve: bool) -> list[str]:
-    """The class, equilibrium counts and first equilibrium's payoffs of one sweep point."""
+def _exact_row(players, params: UnitaryParams, weights) -> list[str]:
+    """The class, equilibrium counts and first equilibrium's payoffs of one exact weight table.
+
+    ``players`` is `_classical_payoffs(game, True)`.  The cells stay integers
+    into the solver, and only the two printed payoffs become `Fraction`.
+    """
+    from .nash import _solve
+
+    (a, den1), (b, den2) = _integer_cells(players, weights)
+    solved = _solve([v for row in a for v in row], den1,
+                    [v for col in zip(*b) for v in col], den2, (3, 3))
+    first = ()
+    if solved.pure:
+        i, j = solved.pure[0]
+        first = ((a[i][j], den1), (b[i][j], den2))
+    elif solved.mixed:
+        first = solved.mixed[0][4]
+    with _failing(EXIT_BAD_INPUT, _TOO_LONG):
+        pays = [str(Fraction(*v)) for v in first] or ["", ""]
+    return [classify(params).kind.value, str(len(solved.pure)), str(len(solved.mixed)), *pays]
+
+
+def _float_row(game: BimatrixGame, params: UnitaryParams, allow_float_solve: bool) -> list[str]:
+    """`_exact_row` for a float weight table: the extension is built, snapped and solved."""
     with _failing(EXIT_DOMAIN):
         ext = build_extension(game, params)
     kind = classify(params).kind.value
-    if not (ext.exact or allow_float_solve):
+    if not allow_float_solve:
         return [kind, "", "", "", ""]
     from .nash import support_enumeration
 
-    report = support_enumeration(ext.game if ext.exact else snapped(ext.game))
+    report = support_enumeration(snapped(ext.game))
     first = None
     if report.pure:
         first = report.pure[0][2]
     elif report.mixed:
         first = report.mixed[0][1]
-    with _failing(EXIT_BAD_INPUT, _TOO_LONG):
-        pays = [_fmt(v, ext.exact) for v in first] if first else ["", ""]
+    pays = [_fmt(v, False) for v in first] if first else ["", ""]
     return [kind, str(len(report.pure)), str(len(report.mixed)), *pays]
 
 
@@ -369,8 +392,10 @@ def cmd_sweep(args) -> tuple[int, str, str | None]:
     writer = csv.writer(buffer)
     writer.writerow(["theta", "alpha", "beta", "class", "n_pure", "n_mixed", "payoff1", "payoff2"])
     # A row after its angles depends only on the operator's outcome-weight
-    # table, so each table is built, classified and solved once.  The key
-    # holds `exact` too, because int and float tables can compare equal.
+    # table, so each table is built, classified and solved once; an exact
+    # one in integers, from each player's classical payoffs read once here.
+    # The key holds `exact` too, because int and float tables can compare
+    # equal.
     # On the exact grid the table is a function of the places the tokens'
     # parts carry, and it reads alpha and beta only through 2*alpha and
     # 2*beta, so a point whose places, the phases' mod 4, were seen reuses
@@ -378,6 +403,7 @@ def cmd_sweep(args) -> tuple[int, str, str | None]:
     # off-grid token are built one by one: float tables at a and a + pi can
     # differ in the last bit.  The memos belong to this call, so they never
     # outgrow one sweep.
+    players = _classical_payoffs(game, True)
     rows: dict[tuple, list[str]] = {}
     by_place: dict[tuple[int, int, int], list[str]] = {}
     for (t_tok, t), (a_tok, a), (b_tok, b) in product(thetas, alphas, betas):
@@ -388,7 +414,9 @@ def cmd_sweep(args) -> tuple[int, str, str | None]:
             key = outcome_weights(params)
             row = rows.get(key)
             if row is None:
-                row = rows[key] = _sweep_row(game, params, args.allow_float_solve)
+                weights, exact = key
+                row = rows[key] = (_exact_row(players, params, weights) if exact else
+                                   _float_row(game, params, args.allow_float_solve))
             if place is not None:
                 by_place[place] = row
         writer.writerow([t_tok, a_tok, b_tok, *row])

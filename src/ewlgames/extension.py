@@ -192,6 +192,28 @@ def _new_payoffs(xs, den, weights) -> list:
     return column
 
 
+def _place(classical, new) -> tuple[tuple, tuple, tuple]:
+    """An extension's three rows of cells, from its four classical and five new cells.
+
+    ``classical`` holds the classical cells row-major, and ``new`` the new
+    ones in the order of the weight table (see `outcome_weights`).
+    """
+    c00, c01, c10, c11 = classical
+    iu, ixu, ui, uix, uu = new
+    return (c00, c01, iu), (c10, c11, ixu), (ui, uix, uu)
+
+
+def _integer_cells(players, weights) -> list[tuple[tuple[tuple[int, ...], ...], int]]:
+    """Each player's extension payoffs, as rows of integers over one denominator.
+
+    ``players`` is `_classical_payoffs(game, True)` and ``weights`` an exact
+    table: the classical payoffs times 16 and the new integer sums share the
+    denominator ``16 * scale``.
+    """
+    return [(_place([16 * x for x in xs], _new_payoffs(xs, den, weights)), den)
+            for xs, den in players]
+
+
 def build_extension(game: BimatrixGame, params: UnitaryParams) -> ExtendedGame:
     """The 3x3 extension of a 2x2 game by the strategy U(theta, alpha, beta).
 
@@ -207,12 +229,7 @@ def build_extension(game: BimatrixGame, params: UnitaryParams) -> ExtendedGame:
     for xs, den in _classical_payoffs(game, exact):
         values = _new_payoffs(xs, den, weights)
         columns.append([Fraction(v, den) for v in values] if exact else [Fraction(v) for v in values])
-    u_iu, u_ixu, u_ui, u_uix, u_uu = zip(*columns)
-    grid = (
-        (game.payoff(0, 0), game.payoff(0, 1), u_iu),
-        (game.payoff(1, 0), game.payoff(1, 1), u_ixu),
-        (u_ui, u_uix, u_uu),
-    )
+    grid = _place(game.payoffs[0] + game.payoffs[1], zip(*columns))
     return ExtendedGame(
         game=BimatrixGame(EXT_LABELS, EXT_LABELS, grid),
         params=params,

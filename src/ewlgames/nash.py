@@ -11,17 +11,22 @@ every pure strategy, is enumerated, so the search is complete for every
 shape, degenerate games included, and a report with a single equilibrium
 is a uniqueness proof by exhaustion.
 
-The enumeration runs in integers.  Each player's payoffs are read in one
-flat pass, multiplied by the lcm of their denominators and shifted to be at
-least one, which leaves every equilibrium unchanged.  A vertex that plays
-one strategy i is e_i over the opponent's largest payoff against i.  Every
-larger vertex solves one square system by Cramer's rule over the minors of
-``[C | 1]`` (rows: the opponent's strategies; columns: the player's own,
-then ones).  They are built level by level, one flat list per size, each
-level from the one below by Laplace expansion along the last row, and read
-by address.  A vertex's slacks are read off the next level as bordered
-minors.  In a symmetric game (B = A^T) the two polytopes are one, and it is
-enumerated once.  `Fraction` appears only in the report.
+The enumeration runs in integers.  `_solve` takes each player's payoffs as
+integers over one scale and shifts them to be at least one, which leaves
+every equilibrium unchanged.  `support_enumeration` reads each player's
+payoffs in one flat pass and multiplies them by the lcm of their
+denominators; the sweep passes the integer cells of an exact extension as
+they are.  A vertex that plays one strategy i is e_i over the opponent's
+largest payoff against i.  Every larger vertex solves one square system by
+Cramer's rule over the minors of ``[C | 1]`` (rows: the opponent's
+strategies; columns: the player's own, then ones).  They are built level
+by level, one flat list per size, each level from the one below by Laplace
+expansion along the last row, and read by address.  A vertex's slacks are
+read off the next level as bordered minors.  In a symmetric game
+(B = A^T) the two polytopes are one, and it is enumerated once.  `_solve`
+returns one record in integers, which the report and the sweep both read,
+so `Fraction` appears only in the report and in the sweep's printed
+payoffs.
 
 In a degenerate game two extreme equilibria share one player's mixture, so
 the segment between them is in equilibrium too; the report then lists the
@@ -132,19 +137,6 @@ def verify_equilibrium(game: BimatrixGame, profile: MixedProfile) -> bool:
 # A vertex in integer form: numerators over one positive denominator, in
 # lowest terms, so equal vertices have equal keys.
 _Vertex = tuple[tuple[int, ...], int]
-
-
-def _positive_matrix(values: list[Fraction], width: int) -> tuple[list[list[int]], int, int]:
-    """A row-major matrix scaled to integers and shifted so that every entry is at least one.
-
-    ``values`` holds the rows, ``width`` entries each, one after another.
-    Returns the matrix as rows, the scale (the lcm of the denominators) and
-    the shift.
-    """
-    ints, scale = _integer_matrix(values)
-    shift = 1 - min(ints)
-    rows = [[v + shift for v in ints[i:i + width]] for i in range(0, len(ints), width)]
-    return rows, scale, shift
 
 
 @lru_cache(maxsize=128)
@@ -281,20 +273,37 @@ def _vertices(constraints: list[list[int]]) -> dict[_Vertex, tuple[int, int]]:
     return vertices
 
 
-def support_enumeration(game: BimatrixGame) -> EquilibriumReport:
-    """All Nash equilibria of the game, as the extreme equilibria and a degeneracy flag.
+class _Solved(NamedTuple):
+    """The extreme equilibria of one solve, in integers: what the report and the sweep read.
 
-    Pairs the vertices of the two best-response polytopes whose labels cover
-    every pure strategy; complete for every shape.  On 3x3 it reads 3 column
-    maxima and solves exactly 10 systems per player.
+    ``pure`` holds the positions (i, j) of the pure equilibria, in order.
+    ``mixed`` holds the others, ordered by mixture (player 1's, then player
+    2's), each as ``(n1, s1, n2, s2, payoff)``: the mixtures are n1 / s1 and
+    n2 / s2, and ``payoff`` holds each player's expected payoff as a pair
+    (numerator, positive denominator).
     """
-    n, m = game.shape
+
+    pure: list[tuple[int, int]]
+    mixed: list[tuple]
+    degenerate: bool
+
+
+def _solve(a: list[int], scale1: int, b: list[int], scale2: int,
+           shape: tuple[int, int]) -> _Solved:
+    """Every extreme equilibrium of a game whose payoffs are integers over one scale per player.
+
+    ``a`` holds player 1's payoffs times ``scale1``, row-major, and ``b``
+    player 2's times ``scale2``, column-major.  Pairs the vertices of the two
+    best-response polytopes whose labels cover every pure strategy; complete
+    for every shape.  On 3x3 it reads 3 column maxima and solves exactly 10
+    systems per player.
+    """
+    n, m = shape
     # A positive scaling or a shift of one player's payoffs leaves every best
     # response, and so every equilibrium, unchanged.
-    a_by_row, scale1, shift1 = _positive_matrix([a for row in game.payoffs for a, _ in row], m)
-    b_by_col, scale2, shift2 = _positive_matrix(
-        [b for col in zip(*game.payoffs) for _, b in col], n
-    )
+    shift1, shift2 = 1 - min(a), 1 - min(b)
+    a_by_row = [[v + shift1 for v in a[i:i + m]] for i in range(0, n * m, m)]
+    b_by_col = [[v + shift2 for v in b[j:j + n]] for j in range(0, n * m, n)]
     # Player 1's polytope is {x >= 0 : B^T x <= 1}, player 2's {y >= 0 : A y <= 1}.
     # In a symmetric game (B = A^T) both calls would be the same, so one
     # polytope serves both.
@@ -315,24 +324,44 @@ def support_enumeration(game: BimatrixGame) -> EquilibriumReport:
     count = len(equilibria)
     degenerate = len({x for x, _ in equilibria}) < count or len({y for _, y in equilibria}) < count
 
-    pure: list[tuple[int, int, Payoff]] = []
-    mixed: list[tuple[MixedProfile, Payoff]] = []
+    pure, mixed = [], []
     for (n1, d1), (n2, d2) in equilibria:
         s1, s2 = sum(n1), sum(n2)
         # The numerators are nonnegative, so a vertex is pure when one of them
         # is their whole sum.
         if s1 in n1 and s2 in n2:
-            i, j = n1.index(s1), n2.index(s2)
-            pure.append((i, j, game.payoff(i, j)))
+            pure.append((n1.index(s1), n2.index(s2)))
         else:
-            p1, p2 = tuple(Fraction(v, s1) for v in n1), tuple(Fraction(v, s2) for v in n2)
             # Every best response to y = n2 / d2 scores 1 in shifted units, so
             # against the mixture n2 / s2 it scores d2 / s2; likewise for x.
-            u1 = Fraction(d2 - shift1 * s2, s2 * scale1)
-            mixed.append((MixedProfile(p1, p2), (u1, Fraction(d1 - shift2 * s1, s1 * scale2))))
-    pure.sort(key=lambda e: (e[0], e[1]))
-    mixed.sort(key=lambda e: (e[0].p1, e[0].p2))
-    return EquilibriumReport(tuple(pure), tuple(mixed), degenerate)
+            payoff = ((d2 - shift1 * s2, s2 * scale1), (d1 - shift2 * s1, s1 * scale2))
+            mixed.append((n1, s1, n2, s2, payoff))
+    pure.sort()
+    if len(mixed) > 1:
+        # Each player's mixtures over one common denominator compare as their numerators.
+        l1, l2 = lcm(*[e[1] for e in mixed]), lcm(*[e[3] for e in mixed])
+        mixed.sort(key=lambda e: ([v * (l1 // e[1]) for v in e[0]],
+                                  [v * (l2 // e[3]) for v in e[2]]))
+    return _Solved(pure, mixed, degenerate)
+
+
+def support_enumeration(game: BimatrixGame) -> EquilibriumReport:
+    """All Nash equilibria of the game, as the extreme equilibria and a degeneracy flag.
+
+    Each player's payoffs are scaled to integers and solved by `_solve`.
+    """
+    a, scale1 = _integer_matrix([a for row in game.payoffs for a, _ in row])
+    b, scale2 = _integer_matrix([b for col in zip(*game.payoffs) for _, b in col])
+    solved = _solve(a, scale1, b, scale2, game.shape)
+    return EquilibriumReport(
+        tuple((i, j, game.payoff(i, j)) for i, j in solved.pure),
+        tuple(
+            (MixedProfile(tuple(Fraction(v, s1) for v in n1), tuple(Fraction(v, s2) for v in n2)),
+             (Fraction(*u1), Fraction(*u2)))
+            for n1, s1, n2, s2, (u1, u2) in solved.mixed
+        ),
+        solved.degenerate,
+    )
 
 
 def report_to_json_dict(report: EquilibriumReport, game: BimatrixGame) -> dict:

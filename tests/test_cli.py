@@ -7,6 +7,7 @@ import io
 import itertools
 import json
 import os
+import random
 import stat
 import subprocess
 import sys
@@ -470,10 +471,15 @@ SOLVE_FLOAT = ["solve", "{ext}", "--allow-float-solve", "-o", "{report}"]
         ([["reproduce", "--json"]], "029eb049729a23ddd18c60e2ccf5c3ce"),
         ([EXTEND_FLOAT_TO_FILE, SOLVE_FLOAT], "5642ef12439c59ea17c515a561c05ab8"),
         ([EXTEND_FLOAT_MIXED_TO_FILE, SOLVE_FLOAT], "07b775d1568ba316dbb1b3fa0eeea7ba"),
+        # Sweeps whose rows reach pure ties, several mixed equilibria and a
+        # constant game.
+        ([["sweep", "{tie}", *FULL_GRID]], "75bf2418ddce3e2ded20d886e7a6b7b3"),
+        ([["sweep", "{fractions}", *FULL_GRID]], "105257674c0ceec90dac9a1a8085c48b"),
+        ([["sweep", "{constant}", *FULL_GRID]], "6ffe7d51dbd38cde1c47c8fd036a5e96"),
     ],
     ids=["sweep-pd", "sweep-swapped", "sweep-mixed-float", "solve-tie3", "solve-dominance3",
          "extend-file", "solve-extension", "reproduce-json", "solve-float-extension",
-         "solve-float-extension-mixed"],
+         "solve-float-extension-mixed", "sweep-tie", "sweep-fractions", "sweep-constant"],
 )
 def test_output_is_unchanged(write_json, tmp_path, capsys, commands, digest):
     paths = {
@@ -484,6 +490,11 @@ def test_output_is_unchanged(write_json, tmp_path, capsys, commands, digest):
         "{tie3}": write_json("tie3.json", dict(GI3_JSON, rows=["a", "b", "c"],
                                                cols=["x", "y", "z"])),
         "{dominance3}": write_json("dominance3.json", DOMINANCE3_JSON),
+        "{tie}": write_json("tie.json", dict(
+            PD_JSON, payoffs=[[["3", "3"], ["0", "5"]], [["5", "0"], ["3", "3"]]])),
+        "{fractions}": write_json("fractions.json", dict(
+            PD_JSON, payoffs=[[["-7/3", "2"], ["1/6", "-5"]], [["4", "-1/9"], ["0", "11/4"]]])),
+        "{constant}": write_json("constant.json", dict(PD_JSON, payoffs=[[["1", "1"]] * 2] * 2)),
         "{ext}": str(tmp_path / "ext.json"),
         "{report}": str(tmp_path / "report.json"),
     }
@@ -497,15 +508,15 @@ def test_output_is_unchanged(write_json, tmp_path, capsys, commands, digest):
 
 def counting_solver(monkeypatch):
     calls = []
-    solve_exactly = nash.support_enumeration
+    solve_exactly = nash._solve
 
-    def solve(game):
-        calls.append(game.payoffs)
-        return solve_exactly(game)
+    def solve(a, scale1, b, scale2, shape):
+        calls.append((tuple(a), scale1, tuple(b), scale2, shape))
+        return solve_exactly(a, scale1, b, scale2, shape)
 
-    # The CLI imports the solver when a command first solves, so it reads
-    # the module attribute.
-    monkeypatch.setattr(nash, "support_enumeration", solve)
+    # Every solve, the exact sweep's and `support_enumeration`'s, calls
+    # `_solve` through the module attribute.
+    monkeypatch.setattr(nash, "_solve", solve)
     return calls
 
 
@@ -528,15 +539,71 @@ def test_sweep_refuses_a_bad_theta_before_any_solve(pd_file, capsys, monkeypatch
 def test_sweep_builds_each_weight_table_once(pd_file, capsys, monkeypatch):
     built = []
 
-    def build(game, params):
-        built.append(params)
-        return ewlgames.build_extension(game, params)
+    def cells(players, weights):
+        built.append(weights)
+        return ewlgames.extension._integer_cells(players, weights)
 
-    monkeypatch.setattr(cli, "build_extension", build)
+    monkeypatch.setattr(cli, "_integer_cells", cells)
     code, out, _ = run(capsys, "sweep", pd_file, *FULL_GRID)
     assert code == 0 and len(out.splitlines()) == 1 + 320
     assert len(built) == 45
-    assert len({ewlgames.outcome_weights(p) for p in built}) == 45
+    assert len(set(built)) == 45
+
+
+def oracle_games():
+    """Seeded 2x2 games: payoffs in {0, 1, 2}, in -2..2, and fractions with
+    denominators up to 1e6, ten of each, then the constant game."""
+    rng = random.Random(28)
+    draws = [lambda: Fraction(rng.randrange(3)), lambda: Fraction(rng.randrange(-2, 3)),
+             lambda: Fraction(rng.randrange(-10**6, 10**6), rng.randrange(1, 10**6))]
+    found = [ewlgames.make_game(("C", "D"), ("C", "D"),
+                                [[(draw(), draw()) for _ in "CD"] for _ in "CD"])
+             for draw in draws for _ in range(10)]
+    return found + [ewlgames.make_game(("C", "D"), ("C", "D"), [[(1, 1)] * 2] * 2)]
+
+
+def grid_tables():
+    """One operator for each exact weight table of the canonical grid, in sweep order."""
+    tables = {}
+    for point in itertools.product(*(FULL_GRID[k].split(",") for k in (1, 3, 5))):
+        params = ewlgames.params_from_angles(*map(ewlgames.parse_angle, point))
+        weights, exact = ewlgames.outcome_weights(params)
+        assert exact
+        tables.setdefault(weights, params)
+    return tables
+
+
+def test_exact_sweep_cells_equal_built_extension():
+    tables = grid_tables()
+    assert len(tables) == 45
+    for game in oracle_games():
+        players = ewlgames.extension._classical_payoffs(game, True)
+        for weights, params in tables.items():
+            (a, den1), (b, den2) = ewlgames.extension._integer_cells(players, weights)
+            cells = tuple(tuple((Fraction(x, den1), Fraction(y, den2)) for x, y in zip(*rows))
+                          for rows in zip(a, b))
+            assert cells == ewlgames.build_extension(game, params).game.payoffs
+
+
+def test_exact_sweep_rows_equal_report_rows(write_json, capsys):
+    # Each exact row against the row of the full report of the built
+    # extension: the class, both counts and the first equilibrium's payoffs.
+    tables = grid_tables()
+    for game in oracle_games():
+        expected = {}
+        for weights, params in tables.items():
+            report = nash.support_enumeration(ewlgames.build_extension(game, params).game)
+            first = report.pure[0][2] if report.pure else report.mixed[0][1]
+            expected[weights] = [ewlgames.classify(params).kind.value, str(len(report.pure)),
+                                 str(len(report.mixed)), *map(str, first)]
+        path = write_json("game.json", ewlgames.game_to_json_dict(game))
+        code, out, _ = run(capsys, "sweep", path, *FULL_GRID)
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert len(rows) == 320
+        for row in rows:
+            params = ewlgames.params_from_angles(*map(ewlgames.parse_angle, row[:3]))
+            assert row[3:] == expected[ewlgames.outcome_weights(params)[0]], row
 
 
 def test_float_sweep_equals_pointwise_solves(pd_file, capsys, monkeypatch):

@@ -553,9 +553,14 @@ def test_positive_scaling_leaves_equilibria_unchanged(player):
 def solver_matrices(game):
     """Player 1's payoffs by row and player 2's by column, as `_vertices` gets them."""
     n, m = game.shape
-    a_by_row, _, _ = nash._positive_matrix([a for row in game.payoffs for a, _ in row], m)
-    b_by_col, _, _ = nash._positive_matrix([b for col in zip(*game.payoffs) for _, b in col], n)
-    return a_by_row, b_by_col
+    matrices = []
+    for values, width in (([a for row in game.payoffs for a, _ in row], m),
+                          ([b for col in zip(*game.payoffs) for _, b in col], n)):
+        # Scaled to integers and shifted to be at least one, as `_solve` does.
+        ints, _ = nash._integer_matrix(values)
+        shift = 1 - min(ints)
+        matrices.append([[v + shift for v in ints[i:i + width]] for i in range(0, n * m, width)])
+    return matrices
 
 
 def assert_vertices_match_oracle(game):
