@@ -31,7 +31,7 @@ from .extension import (
     extended_to_json_dict,
     outcome_weights,
 )
-from .games import BimatrixGame, find_isomorphism, game_from_json_dict, snapped
+from .games import BimatrixGame, _integer_payoffs, find_isomorphism, game_from_json_dict, snapped
 
 if TYPE_CHECKING:
     from .nash import EquilibriumReport
@@ -330,45 +330,21 @@ def _angle_list(raw: str) -> list[tuple[str, Fraction | float]]:
     return angles
 
 
-def _exact_row(players, params: UnitaryParams, weights) -> list[str]:
-    """The class, equilibrium counts and first equilibrium's payoffs of one exact weight table.
+def _solved_row(players, exact: bool) -> list[str]:
+    """The equilibrium counts and first equilibrium's payoffs of one weight table.
 
-    ``players`` is `_classical_payoffs(game, True)`.  The cells stay integers
-    into the solver, and only the two printed payoffs become `Fraction`.
+    ``players`` holds each player's payoff rows as integers over one scale,
+    as `nash._solve` takes them, and only the two printed payoffs become
+    `Fraction`, formatted by `_fmt`.
     """
     from .nash import _solve
 
-    (a, den1), (b, den2) = _integer_cells(players, weights)
-    solved = _solve([v for row in a for v in row], den1,
-                    [v for col in zip(*b) for v in col], den2, (3, 3))
-    first = ()
-    if solved.pure:
-        i, j = solved.pure[0]
-        first = ((a[i][j], den1), (b[i][j], den2))
-    elif solved.mixed:
-        first = solved.mixed[0][4]
+    solved = _solve(players)
+    # Every game has an equilibrium, and the search is complete.
+    first = (solved.pure or solved.mixed)[0][-1]
     with _failing(EXIT_BAD_INPUT, _TOO_LONG):
-        pays = [str(Fraction(*v)) for v in first] or ["", ""]
-    return [classify(params).kind.value, str(len(solved.pure)), str(len(solved.mixed)), *pays]
-
-
-def _float_row(game: BimatrixGame, params: UnitaryParams, allow_float_solve: bool) -> list[str]:
-    """`_exact_row` for a float weight table: the extension is built, snapped and solved."""
-    with _failing(EXIT_DOMAIN):
-        ext = build_extension(game, params)
-    kind = classify(params).kind.value
-    if not allow_float_solve:
-        return [kind, "", "", "", ""]
-    from .nash import support_enumeration
-
-    report = support_enumeration(snapped(ext.game))
-    first = None
-    if report.pure:
-        first = report.pure[0][2]
-    elif report.mixed:
-        first = report.mixed[0][1]
-    pays = [_fmt(v, False) for v in first] if first else ["", ""]
-    return [kind, str(len(report.pure)), str(len(report.mixed)), *pays]
+        pays = [_fmt(Fraction(*v), exact) for v in first]
+    return [str(len(solved.pure)), str(len(solved.mixed)), *pays]
 
 
 def cmd_sweep(args) -> tuple[int, str, str | None]:
@@ -392,8 +368,9 @@ def cmd_sweep(args) -> tuple[int, str, str | None]:
     writer = csv.writer(buffer)
     writer.writerow(["theta", "alpha", "beta", "class", "n_pure", "n_mixed", "payoff1", "payoff2"])
     # A row after its angles depends only on the operator's outcome-weight
-    # table, so each table is built, classified and solved once; an exact
-    # one in integers, from each player's classical payoffs read once here.
+    # table, so each table is classified and solved once: an exact one from
+    # each player's classical payoffs, read once here, a float one from its
+    # snapped extension.
     # The key holds `exact` too, because int and float tables can compare
     # equal.
     # On the exact grid the table is a function of the places the tokens'
@@ -415,8 +392,14 @@ def cmd_sweep(args) -> tuple[int, str, str | None]:
             row = rows.get(key)
             if row is None:
                 weights, exact = key
-                row = rows[key] = (_exact_row(players, params, weights) if exact else
-                                   _float_row(game, params, args.allow_float_solve))
+                if exact:
+                    solved = _solved_row(_integer_cells(players, weights), True)
+                else:
+                    with _failing(EXIT_DOMAIN):
+                        ext = build_extension(game, params)
+                    solved = (_solved_row(_integer_payoffs(snapped(ext.game)), False)
+                              if args.allow_float_solve else ["", "", "", ""])
+                row = rows[key] = [classify(params).kind.value, *solved]
             if place is not None:
                 by_place[place] = row
         writer.writerow([t_tok, a_tok, b_tok, *row])

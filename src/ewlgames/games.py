@@ -174,6 +174,17 @@ def _integer_matrix(values: list[Fraction]) -> tuple[list[int], int]:
     return [n * (scale // d) for n, d in ratios], scale
 
 
+def _integer_payoffs(game: BimatrixGame) -> list[tuple[list[list[int]], int]]:
+    """Each player's payoffs as rows of integers over one scale: the input of `nash._solve`.
+
+    Row i holds the player's payoffs where player 1 plays i, times the lcm
+    of that player's denominators.
+    """
+    m = game.n_cols
+    scaled = [_integer_matrix([c[p] for row in game.payoffs for c in row]) for p in (0, 1)]
+    return [([ints[i:i + m] for i in range(0, len(ints), m)], scale) for ints, scale in scaled]
+
+
 def find_isomorphism(
     a: BimatrixGame, b: BimatrixGame, tol: float = 0.0
 ) -> Optional[StrategyBijection]:

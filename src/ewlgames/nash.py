@@ -11,22 +11,21 @@ every pure strategy, is enumerated, so the search is complete for every
 shape, degenerate games included, and a report with a single equilibrium
 is a uniqueness proof by exhaustion.
 
-The enumeration runs in integers.  `_solve` takes each player's payoffs as
-integers over one scale and shifts them to be at least one, which leaves
-every equilibrium unchanged.  `support_enumeration` reads each player's
-payoffs in one flat pass and multiplies them by the lcm of their
-denominators; the sweep passes the integer cells of an exact extension as
-they are.  A vertex that plays one strategy i is e_i over the opponent's
-largest payoff against i.  Every larger vertex solves one square system by
-Cramer's rule over the minors of ``[C | 1]`` (rows: the opponent's
-strategies; columns: the player's own, then ones).  They are built level
-by level, one flat list per size, each level from the one below by Laplace
-expansion along the last row, and read by address.  A vertex's slacks are
-read off the next level as bordered minors.  In a symmetric game
-(B = A^T) the two polytopes are one, and it is enumerated once.  `_solve`
-returns one record in integers, which the report and the sweep both read,
-so `Fraction` appears only in the report and in the sweep's printed
-payoffs.
+The enumeration runs in integers.  `_solve` takes each player's payoff
+rows as integers over one scale, from `games._integer_payoffs` or the
+sweep's exact cells, lays player 2's out by column, and shifts both to be
+at least one, which leaves every equilibrium unchanged.  A vertex that plays
+one strategy i is e_i over the opponent's largest payoff against i.  Every
+larger vertex solves one square system by Cramer's rule over the minors of
+``[C | 1]`` (rows: the opponent's strategies; columns: the player's own,
+then ones).  They are built level by level, one flat list per size, each
+level from the one below by Laplace expansion along the last row, and read
+by address.  A vertex's slacks are read off the next level as bordered
+minors.  In a symmetric game (B = A^T) the two polytopes are one, and it
+is enumerated once.  `_solve` returns one record in integers, with every
+equilibrium's payoffs as integer pairs, which the report and every sweep
+row read, so `Fraction` appears only in the report and in the sweep's
+printed payoffs.
 
 In a degenerate game two extreme equilibria share one player's mixture, so
 the segment between them is in equilibrium too; the report then lists the
@@ -43,7 +42,7 @@ from math import gcd, lcm
 from operator import add, itemgetter, mul, sub
 from typing import NamedTuple
 
-from .games import BimatrixGame, Payoff, _integer_matrix
+from .games import BimatrixGame, Payoff, _integer_payoffs
 
 _ZERO = Fraction(0)
 
@@ -276,34 +275,36 @@ def _vertices(constraints: list[list[int]]) -> dict[_Vertex, tuple[int, int]]:
 class _Solved(NamedTuple):
     """The extreme equilibria of one solve, in integers: what the report and the sweep read.
 
-    ``pure`` holds the positions (i, j) of the pure equilibria, in order.
+    ``pure`` holds the pure equilibria, in order, each as ``(i, j, payoff)``.
     ``mixed`` holds the others, ordered by mixture (player 1's, then player
     2's), each as ``(n1, s1, n2, s2, payoff)``: the mixtures are n1 / s1 and
-    n2 / s2, and ``payoff`` holds each player's expected payoff as a pair
-    (numerator, positive denominator).
+    n2 / s2.  In both, ``payoff`` is last and holds each player's payoff as
+    a pair (numerator, positive denominator), so the first equilibrium's
+    payoff is ``entry[-1]`` in either list.
     """
 
-    pure: list[tuple[int, int]]
+    pure: list[tuple]
     mixed: list[tuple]
     degenerate: bool
 
 
-def _solve(a: list[int], scale1: int, b: list[int], scale2: int,
-           shape: tuple[int, int]) -> _Solved:
+def _solve(players) -> _Solved:
     """Every extreme equilibrium of a game whose payoffs are integers over one scale per player.
 
-    ``a`` holds player 1's payoffs times ``scale1``, row-major, and ``b``
-    player 2's times ``scale2``, column-major.  Pairs the vertices of the two
-    best-response polytopes whose labels cover every pure strategy; complete
-    for every shape.  On 3x3 it reads 3 column maxima and solves exactly 10
-    systems per player.
+    ``players`` is ``[(rows, scale), (rows, scale)]``, as `_integer_payoffs`
+    and `_integer_cells` return it: row i of each player's rows holds that
+    player's payoffs, times its scale, when player 1 plays i.  Pairs the
+    vertices of the two best-response polytopes whose labels cover every
+    pure strategy; complete for every shape.  On 3x3 it reads 3 column
+    maxima and solves exactly 10 systems per player.
     """
-    n, m = shape
+    (a, scale1), (b, scale2) = players
+    n, m = len(a), len(a[0])
     # A positive scaling or a shift of one player's payoffs leaves every best
     # response, and so every equilibrium, unchanged.
-    shift1, shift2 = 1 - min(a), 1 - min(b)
-    a_by_row = [[v + shift1 for v in a[i:i + m]] for i in range(0, n * m, m)]
-    b_by_col = [[v + shift2 for v in b[j:j + n]] for j in range(0, n * m, n)]
+    shift1, shift2 = 1 - min(map(min, a)), 1 - min(map(min, b))
+    a_by_row = [[v + shift1 for v in row] for row in a]
+    b_by_col = [[v + shift2 for v in col] for col in zip(*b)]
     # Player 1's polytope is {x >= 0 : B^T x <= 1}, player 2's {y >= 0 : A y <= 1}.
     # In a symmetric game (B = A^T) both calls would be the same, so one
     # polytope serves both.
@@ -330,7 +331,8 @@ def _solve(a: list[int], scale1: int, b: list[int], scale2: int,
         # The numerators are nonnegative, so a vertex is pure when one of them
         # is their whole sum.
         if s1 in n1 and s2 in n2:
-            pure.append((n1.index(s1), n2.index(s2)))
+            i, j = n1.index(s1), n2.index(s2)
+            pure.append((i, j, ((a[i][j], scale1), (b[i][j], scale2))))
         else:
             # Every best response to y = n2 / d2 scores 1 in shifted units, so
             # against the mixture n2 / s2 it scores d2 / s2; likewise for x.
@@ -348,13 +350,11 @@ def _solve(a: list[int], scale1: int, b: list[int], scale2: int,
 def support_enumeration(game: BimatrixGame) -> EquilibriumReport:
     """All Nash equilibria of the game, as the extreme equilibria and a degeneracy flag.
 
-    Each player's payoffs are scaled to integers and solved by `_solve`.
+    `_solve` reads the integer payoffs of `_integer_payoffs`.
     """
-    a, scale1 = _integer_matrix([a for row in game.payoffs for a, _ in row])
-    b, scale2 = _integer_matrix([b for col in zip(*game.payoffs) for _, b in col])
-    solved = _solve(a, scale1, b, scale2, game.shape)
+    solved = _solve(_integer_payoffs(game))
     return EquilibriumReport(
-        tuple((i, j, game.payoff(i, j)) for i, j in solved.pure),
+        tuple((i, j, game.payoff(i, j)) for i, j, _ in solved.pure),
         tuple(
             (MixedProfile(tuple(Fraction(v, s1) for v in n1), tuple(Fraction(v, s2) for v in n2)),
              (Fraction(*u1), Fraction(*u2)))

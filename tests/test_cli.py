@@ -442,6 +442,8 @@ def test_sweep_csv(pd_file, capsys):
 # eight quarter-pi multiples.
 QUARTER_PI = "0,1/4pi,1/2pi,3/4pi,pi,5/4pi,3/2pi,7/4pi"
 FULL_GRID = ["--thetas", "0,1/3pi,1/2pi,2/3pi,pi", "--alphas", QUARTER_PI, "--betas", QUARTER_PI]
+# 27 float points: no theta is within the snap tolerance of the grid.
+FLOAT_GRID = ["--thetas", "1e-8,0.8,1.5707963", "--alphas", "0,1/2pi,0.3", "--betas", "0,1/4pi,1.1"]
 
 
 EXTEND_TO_FILE = ["extend", "{pd}", "--theta", "1/3pi", "--alpha", "1/4pi", "--beta", "3/4pi",
@@ -476,10 +478,15 @@ SOLVE_FLOAT = ["solve", "{ext}", "--allow-float-solve", "-o", "{report}"]
         ([["sweep", "{tie}", *FULL_GRID]], "75bf2418ddce3e2ded20d886e7a6b7b3"),
         ([["sweep", "{fractions}", *FULL_GRID]], "105257674c0ceec90dac9a1a8085c48b"),
         ([["sweep", "{constant}", *FULL_GRID]], "6ffe7d51dbd38cde1c47c8fd036a5e96"),
+        # Snapping makes the constant game's float payoffs exact ties again:
+        # at (0.8, 0, 0) all nine cells are pure equilibria.
+        ([["sweep", "{constant}", *FLOAT_GRID, "--allow-float-solve"]],
+         "6fb57fbacdf5ab2038f2bd779be6b31b"),
     ],
     ids=["sweep-pd", "sweep-swapped", "sweep-mixed-float", "solve-tie3", "solve-dominance3",
          "extend-file", "solve-extension", "reproduce-json", "solve-float-extension",
-         "solve-float-extension-mixed", "sweep-tie", "sweep-fractions", "sweep-constant"],
+         "solve-float-extension-mixed", "sweep-tie", "sweep-fractions", "sweep-constant",
+         "sweep-constant-float"],
 )
 def test_output_is_unchanged(write_json, tmp_path, capsys, commands, digest):
     paths = {
@@ -510,9 +517,9 @@ def counting_solver(monkeypatch):
     calls = []
     solve_exactly = nash._solve
 
-    def solve(a, scale1, b, scale2, shape):
-        calls.append((tuple(a), scale1, tuple(b), scale2, shape))
-        return solve_exactly(a, scale1, b, scale2, shape)
+    def solve(players):
+        calls.append(tuple((tuple(map(tuple, rows)), scale) for rows, scale in players))
+        return solve_exactly(players)
 
     # Every solve, the exact sweep's and `support_enumeration`'s, calls
     # `_solve` through the module attribute.
@@ -604,6 +611,30 @@ def test_exact_sweep_rows_equal_report_rows(write_json, capsys):
         for row in rows:
             params = ewlgames.params_from_angles(*map(ewlgames.parse_angle, row[:3]))
             assert row[3:] == expected[ewlgames.outcome_weights(params)[0]], row
+
+
+def test_float_sweep_rows_equal_report_rows(write_json, capsys):
+    # Each float row against the row of the full report of the snapped
+    # built extension, its payoffs printed as floats; without the flag the
+    # solve columns stay empty.
+    for game in oracle_games():
+        path = write_json("game.json", ewlgames.game_to_json_dict(game))
+        sweeps = []
+        for flag in (["--allow-float-solve"], []):
+            code, out, _ = run(capsys, "sweep", path, *FLOAT_GRID, *flag)
+            assert code == 0
+            sweeps.append(list(csv.reader(io.StringIO(out)))[1:])
+        solved, bare = sweeps
+        assert len(solved) == 27
+        for row, unsolved in zip(solved, bare):
+            params = ewlgames.params_from_angles(*map(ewlgames.parse_angle, row[:3]))
+            ext = ewlgames.build_extension(game, params)
+            assert not ext.exact
+            report = nash.support_enumeration(ewlgames.snapped(ext.game))
+            first = report.pure[0][2] if report.pure else report.mixed[0][1]
+            assert row[3:] == [ewlgames.classify(params).kind.value, str(len(report.pure)),
+                               str(len(report.mixed)), *(format(float(v), ".12g") for v in first)]
+            assert unsolved == row[:4] + [""] * 4
 
 
 def test_float_sweep_equals_pointwise_solves(pd_file, capsys, monkeypatch):

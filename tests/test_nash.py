@@ -22,7 +22,7 @@ from ewlgames import (
     support_enumeration,
     verify_equilibrium,
 )
-from ewlgames.games import _integer_matrix
+from ewlgames.games import _integer_matrix, _integer_payoffs
 
 # The four 3x3 games obtained by extending the dilemma's presentations with
 # the Q operator, in tabulated form, plus the crossed-average family matrix.
@@ -416,6 +416,11 @@ def grid_game(values, rows, cols):
 def assert_matches_oracle(game):
     report = support_enumeration(game)
     assert report == nash_oracle.support_enumeration(game)
+    # The record's pure entries, which the sweep reads, carry the report's
+    # positions and, as integer pairs, its payoffs.
+    pure = nash._solve(_integer_payoffs(game)).pure
+    assert [(i, j) for i, j, _ in pure] == [(i, j) for i, j, _ in report.pure]
+    assert [tuple(F(*v) for v in pay) for *_, pay in pure] == [pay for *_, pay in report.pure]
     return report
 
 
@@ -557,7 +562,7 @@ def solver_matrices(game):
     for values, width in (([a for row in game.payoffs for a, _ in row], m),
                           ([b for col in zip(*game.payoffs) for _, b in col], n)):
         # Scaled to integers and shifted to be at least one, as `_solve` does.
-        ints, _ = nash._integer_matrix(values)
+        ints, _ = _integer_matrix(values)
         shift = 1 - min(ints)
         matrices.append([[v + shift for v in ints[i:i + width]] for i in range(0, n * m, width)])
     return matrices
@@ -703,9 +708,11 @@ def test_symmetric_game_enumerates_one_polytope(pd, swap_rows, calls, monkeypatc
     tables = canonical_tables()
     assert len(tables) == 45
     for params in tables:
+        ext = build_extension(game, params).game
         counted.clear()
-        assert_matches_oracle(build_extension(game, params).game)
+        support_enumeration(ext)
         assert len(counted) == calls
+        assert_matches_oracle(ext)
 
 
 def test_symmetric_tie_heavy_games_match_oracles():
