@@ -2,8 +2,9 @@
 
 Subcommands: extend, classify, solve, isocheck, sweep, verify-oracle,
 reproduce.  Exit codes: 0 success, 1 reference-suite failure, 2 malformed
-input, 3 domain error (angle out of range, wrong game shape, or solving a
-float-built game without opting in).
+input, 3 domain error (angle out of range, wrong game shape, solving a
+float-built game without opting in, or a payoff beyond the float range at
+float angles).
 """
 
 from __future__ import annotations

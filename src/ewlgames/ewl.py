@@ -43,16 +43,18 @@ def _place(multiple: Fraction, units: dict[int, int]) -> int | None:
 class UnitaryParams(NamedTuple):
     """Strategy parameters (theta, alpha, beta) in radians.
 
-    ``pi_multiples`` records angles given as rational multiples of pi, for
-    `grid_point` and the JSON spelling; only `grid_point` decides exactness,
-    and without them an operator is float.  theta lies in [0, pi]; alpha and
-    beta are reduced mod 2*pi.
+    ``pi_multiples`` records, angle by angle, the rational multiple of pi an
+    angle was given as, or None for an angle given in radians; it is None
+    when all three were.  `grid_point` reads it, and only `grid_point`
+    decides exactness, so an operator with any angle in radians is float.
+    The JSON spelling of each angle reads it too.  theta lies in [0, pi];
+    alpha and beta are reduced mod 2*pi.
     """
 
     theta: float
     alpha: float
     beta: float
-    pi_multiples: tuple[Fraction, Fraction, Fraction] | None = None
+    pi_multiples: tuple[Fraction | None, Fraction | None, Fraction | None] | None = None
 
     @classmethod
     def exact_pi(cls, theta, alpha, beta) -> "UnitaryParams":
@@ -71,11 +73,13 @@ class UnitaryParams(NamedTuple):
         parts carry their multiple of pi.  Otherwise it is the one place float
         angles become exact: if theta, alpha and beta are each within
         FLOAT_TOL of a point of the exact grid (see `grid_point`), this is the
-        exact operator there.  Any other operator stays float.
+        exact operator there.  Any other operator stays float, and keeps the
+        multiples of the parts that carry one.
         """
         angles = (theta[1], alpha[1], beta[1])
+        multiples = (theta[0], alpha[0], beta[0])
         if theta[0] is not None and alpha[0] is not None and beta[0] is not None:
-            return cls(*angles, (theta[0], alpha[0], beta[0]))
+            return cls(*angles, multiples)
         for name, value in (("alpha", alpha[1]), ("beta", beta[1])):
             if not math.isfinite(value):
                 raise ValueError(f"{name} = {value} is not a finite angle")
@@ -85,7 +89,9 @@ class UnitaryParams(NamedTuple):
             near = cls.exact_pi(*map(Fraction, ks, steps))
             if near.grid_point is not None:
                 return near
-        return cls(*angles)
+        if theta[0] is None and alpha[0] is None and beta[0] is None:
+            multiples = None
+        return cls(*angles, multiples)
 
     @staticmethod
     def theta_part(theta) -> tuple[Fraction | None, float, int | None]:
@@ -132,11 +138,13 @@ class UnitaryParams(NamedTuple):
         theorem it is where every extension is rational.  On it, theta is
         sixths*pi/6, alpha qa*pi/4 and beta qb*pi/4, read off the pi
         multiples as they are stored, unreduced, by `_place`, the grid's one
-        rule.  A float operator is never on it.
+        rule.  An operator with any angle in radians is never on it.
         """
         if self.pi_multiples is None:
             return None
         t, a, b = self.pi_multiples
+        if t is None or a is None or b is None:
+            return None
         sixths = _place(t, _SIXTHS)
         qa = None if sixths is None else _place(a, _QUARTERS)
         qb = None if qa is None else _place(b, _QUARTERS)

@@ -287,9 +287,11 @@ def empirical_invariance(game: BimatrixGame, params: UnitaryParams) -> bool:
 def extended_to_json_dict(ext: ExtendedGame) -> dict:
     """Extended game as a JSON-ready dict: the game plus params/class/exact."""
     data = game_to_json_dict(ext.game)
-    p, multiples = ext.params, ext.params.pi_multiples
-    angles = (p.theta, p.alpha, p.beta) if multiples is None else map(format_angle, multiples)
-    data["params"] = dict(zip(("theta", "alpha", "beta"), angles))
+    p = ext.params
+    multiples = p.pi_multiples or (None, None, None)
+    data["params"] = {name: radians if multiple is None else format_angle(multiple)
+                      for name, radians, multiple
+                      in zip(("theta", "alpha", "beta"), (p.theta, p.alpha, p.beta), multiples)}
     data["class"] = classify(ext.params).kind.value
     data["exact"] = ext.exact
     return data

@@ -95,7 +95,7 @@ def _trig_values(params: UnitaryParams):
     quarter-pi grid, in particular I, iX and Q, at theta in {0, pi/3, pi/2,
     2pi/3, pi}); otherwise all six are floats.
     """
-    if params.pi_multiples is not None:
+    if params.pi_multiples is not None and all(m is not None for m in params.pi_multiples):
         t, a, b = params.pi_multiples
         values = (
             _cos_pi(t),

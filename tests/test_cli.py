@@ -379,17 +379,29 @@ def test_isocheck_reports_invariance(pd_file, capsys):
         "--theta", "1/2pi", "--alpha", "1/2pi", "--beta", "1/2pi",
     )
     assert "invariant under relabelings: yes" in out
+    # A float operator is never invariant.
+    code, out, _ = run(
+        capsys, "isocheck", pd_file, pd_file,
+        "--theta", "0.8", "--alpha", "0.3", "--beta", "1.1",
+    )
+    assert code == 0 and out.endswith("invariant under relabelings: no\n")
 
 
 def test_tied_isocheck_warns_in_one_line_on_every_call(write_json, capsys):
     tied = write_json(
         "tie.json", dict(PD_JSON, payoffs=[[["3", "3"], ["0", "5"]], [["5", "0"], ["3", "3"]]])
     )
-    for _ in range(2):
+    # The row swap of this tied game has the same new payoffs as the game,
+    # yet no isomorphism: still "no", with the same warning.
+    decoy = write_json(
+        "decoy.json", dict(PD_JSON, payoffs=[[["0", "0"], ["2", "2"]], [["2", "0"], ["2", "2"]]])
+    )
+    cases = [(tied, "1/2pi", "0", "yes")] * 2 + [(decoy, "0", "1/4pi", "no")]
+    for game, theta, alpha, verdict in cases:
         code, out, err = run(
-            capsys, "isocheck", tied, tied, "--theta", "1/2pi", "--alpha", "0", "--beta", "0"
+            capsys, "isocheck", game, game, "--theta", theta, "--alpha", alpha, "--beta", "0"
         )
-        assert code == 0 and out.endswith("invariant under relabelings: yes\n")
+        assert code == 0 and out.endswith(f"invariant under relabelings: {verdict}\n")
         assert err.splitlines() == [
             "warning: empirical invariance checked on a non-generic game; "
             "payoff ties can make the verdict accidental"
@@ -418,7 +430,7 @@ def test_extend_writes_an_unreduced_phase_beside_floats_reduced(pd_file, tmp_pat
         assert code == 0
         written.append(out_path.read_bytes())
     assert written[0] == written[1]
-    assert json.loads(written[0])["params"]["alpha"] == 0.0
+    assert json.loads(written[0])["params"]["alpha"] == "0"
 
 
 def test_sweep_csv(pd_file, capsys):
@@ -470,6 +482,9 @@ SOLVE_FLOAT = ["solve", "{ext}", "--allow-float-solve", "-o", "{report}"]
         ([["solve", "{dominance3}"]], "95cac2b43d514f5e9c2de17973b43f28"),
         ([EXTEND_TO_FILE], "7ca3ed4ba6c4d15b545acd4da3c9f734"),
         ([EXTEND_TO_FILE, ["solve", "{ext}"]], "d73d3324ec7865c006e26804e401c801"),
+        # Exact angles beside one in radians are written as given.
+        ([["extend", "{pd}", "--theta", "1/3pi", "--alpha", "1/4pi", "--beta", "0.3",
+           "-o", "{ext}"]], "5070db5e6a5429984a1034e76ef09a30"),
         ([["reproduce", "--json"]], "029eb049729a23ddd18c60e2ccf5c3ce"),
         ([EXTEND_FLOAT_TO_FILE, SOLVE_FLOAT], "5642ef12439c59ea17c515a561c05ab8"),
         ([EXTEND_FLOAT_MIXED_TO_FILE, SOLVE_FLOAT], "07b775d1568ba316dbb1b3fa0eeea7ba"),
@@ -484,9 +499,9 @@ SOLVE_FLOAT = ["solve", "{ext}", "--allow-float-solve", "-o", "{report}"]
          "6fb57fbacdf5ab2038f2bd779be6b31b"),
     ],
     ids=["sweep-pd", "sweep-swapped", "sweep-mixed-float", "solve-tie3", "solve-dominance3",
-         "extend-file", "solve-extension", "reproduce-json", "solve-float-extension",
-         "solve-float-extension-mixed", "sweep-tie", "sweep-fractions", "sweep-constant",
-         "sweep-constant-float"],
+         "extend-file", "solve-extension", "extend-file-mixed", "reproduce-json",
+         "solve-float-extension", "solve-float-extension-mixed", "sweep-tie", "sweep-fractions",
+         "sweep-constant", "sweep-constant-float"],
 )
 def test_output_is_unchanged(write_json, tmp_path, capsys, commands, digest):
     paths = {
@@ -724,6 +739,13 @@ def test_sweep_operators_equal_pointwise_operators(pd_file, capsys, monkeypatch)
                              "--alphas=" + point[1], "--betas=" + point[2])
         assert code == 0
         assert alone.splitlines() == [lines[0], line]
+    # Each exact phase outside [0, 2pi) gives the rows of its reduced spelling.
+    reduced = ",".join(["pi", "1/4pi", "0", "7/4pi", *phases[4:]])
+    code, same, _ = run(capsys, "sweep", pd_file, "--thetas", ",".join(thetas),
+                        "--alphas", reduced, "--betas", reduced)
+    assert code == 0
+    assert [row.split(",")[3:] for row in same.splitlines()] == [
+        row.split(",")[3:] for row in lines]
 
 
 @pytest.mark.parametrize(
@@ -950,10 +972,20 @@ def test_failed_isocheck_writes_nothing(pd_file, capsys, angles, code):
     assert out == ""
 
 
-def test_isocheck_with_tolerance_finds_identity(pd_file, capsys):
+def test_isocheck_with_tolerance_finds_identity(pd_file, write_json, capsys):
     code, out, _ = run(capsys, "isocheck", pd_file, pd_file, "--tol", "1e-9")
     assert code == 0
     assert "isomorphic: yes" in out
+    # Against the game with both labels swapped, one payoff 5e-10 off: within
+    # the tolerance the swap is found, and without it there is no map.
+    swapped = write_json("swapped.json", dict(
+        PD_JSON, rows=["D", "C"], cols=["D", "C"],
+        payoffs=[[["1", "1"], ["5", "0"]], [["0", "5"], ["3", "3"]]]))
+    bumped = write_json("bumped.json", _pd_with_cell(0, 0, ["3.0000000005", "3"]))
+    code, out, _ = run(capsys, "isocheck", swapped, bumped, "--tol", "1e-9")
+    assert code == 0 and "  rows: D -> D, C -> C" in out.splitlines()
+    code, out, _ = run(capsys, "isocheck", swapped, bumped)
+    assert code == 0 and out == "isomorphic: no\n"
 
 
 def test_isocheck_with_tolerance_beyond_float_range(write_json, capsys):

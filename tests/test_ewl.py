@@ -294,5 +294,5 @@ def test_params_from_angles_exactness():
     exact = params_from_angles(F(1, 2), F(1, 4), F(0))
     assert exact.pi_multiples is not None and exact.theta == math.pi / 2
     mixed = params_from_angles(F(1, 2), 0.3, F(0))
-    assert mixed.pi_multiples is None
+    assert mixed.pi_multiples == (F(1, 2), None, F(0)) and mixed.grid_point is None
     assert abs(mixed.theta - math.pi / 2) < 1e-15 and mixed.alpha == 0.3

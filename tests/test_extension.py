@@ -26,6 +26,7 @@ from ewlgames import (
     find_isomorphism,
     make_game,
     outcome_weights,
+    params_from_angles,
     random_generic_game,
     variant,
 )
@@ -394,6 +395,8 @@ def test_integer_route_matches_fraction_formula(d):
         for j in range(2 * d)
         for k in range(2 * d)
     ]
+    # Exact angles beside one in radians make a float operator.
+    operators.append(params_from_angles(F(1, d), F(1, d), 0.3))
     for g in games:
         for p in operators:
             ext = build_extension(g, p)
