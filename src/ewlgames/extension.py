@@ -182,13 +182,15 @@ def _new_payoffs(xs, den, weights) -> list:
     """
     if den is not None:
         return [sum(map(mul, w, xs)) for w in weights]
-    column = [sum(map(mul, w, xs)) / 16 for w in weights]
-    if not all(map(math.isfinite, column)):
-        try:
+    try:
+        # fsum rounds once, so the order of the products, which a swap of the
+        # players permutes, cannot change a cell.
+        column = [math.fsum(map(mul, w, xs)) / 16 for w in weights]
+        if not all(map(math.isfinite, column)):
             for value in column:
                 value.as_integer_ratio()  # raises what Fraction(value) would
-        except (OverflowError, ValueError) as exc:
-            raise ValueError(f"payoffs too large for float evaluation: {exc}") from exc
+    except (OverflowError, ValueError) as exc:
+        raise ValueError(f"payoffs too large for float evaluation: {exc}") from exc
     return column
 
 

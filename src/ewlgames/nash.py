@@ -11,21 +11,23 @@ every pure strategy, is enumerated, so the search is complete for every
 shape, degenerate games included, and a report with a single equilibrium
 is a uniqueness proof by exhaustion.
 
-The enumeration runs in integers.  `_solve` takes each player's payoff
-rows as integers over one scale, from `games._integer_payoffs` or the
-sweep's exact cells, lays player 2's out by column, and shifts both to be
-at least one, which leaves every equilibrium unchanged.  A vertex that plays
-one strategy i is e_i over the opponent's largest payoff against i.  Every
+The enumeration runs in integers.  `_solve` takes each player's payoff rows
+as integers over one scale, from `games._integer_payoffs` or the sweep's
+exact cells, lays player 2's out by column, and shifts both to be at least
+one, which leaves every equilibrium unchanged.  A vertex that plays one
+strategy i is e_i over the opponent's largest payoff against i.  Every
 larger vertex solves one square system by Cramer's rule over the minors of
 ``[C | 1]`` (rows: the opponent's strategies; columns: the player's own,
-then ones).  They are built level by level, one flat list per size, each
-level from the one below by Laplace expansion along the last row, and read
-by address.  A vertex's slacks are read off the next level as bordered
-minors.  In a symmetric game (B = A^T) the two polytopes are one, and it
-is enumerated once.  `_solve` returns one record in integers, with every
-equilibrium's payoffs as integer pairs, which the report and every sweep
-row read, so `Fraction` appears only in the report and in the sweep's
-printed payoffs.
+then ones), each built from those one size smaller by Laplace expansion
+along the last row.  A vertex's slacks are read off the next size as
+bordered minors.  The first polytope of each shape in a process compiles
+that shape's enumeration (`_kernel`): straight-line integer code with every
+minor a local and every system one flat test, which uses only ``+``, ``-``,
+``*``, sign tests and a final `gcd`.  In a symmetric game (B = A^T) the two
+polytopes are one, and it is enumerated once.  `_solve` returns one record
+in integers, with every equilibrium's payoffs as integer pairs, which the
+report and every sweep row read, so `Fraction` appears only in the report
+and in the sweep's printed payoffs.
 
 In a degenerate game two extreme equilibria share one player's mixture, so
 the segment between them is in equilibrium too; the report then lists the
@@ -39,7 +41,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
-from operator import add, itemgetter, mul, sub
 from typing import NamedTuple
 
 from .games import BimatrixGame, Payoff, _integer_payoffs
@@ -138,30 +139,26 @@ def verify_equilibrium(game: BimatrixGame, profile: MixedProfile) -> bool:
 _Vertex = tuple[tuple[int, ...], int]
 
 
-@lru_cache(maxsize=128)
 def _cramer_plan(n_rows: int, n_cols: int) -> list[tuple]:
-    """Per size k, the flat addresses at which `_vertices` builds and reads the minors of size k.
+    """Per size k, the minors of size k that `_kernel_source` writes, and the systems that read them.
 
     The minors of ``[C | 1]`` of size k (rows: the ``n_rows`` constraints;
-    columns: the ``n_cols`` own strategies, then the ones) form one flat
-    list, row set by row set, each row set's column sets in `combinations`
-    order.  Size 1 is the matrix itself, and `_vertices` reads its systems
-    off column maxima, so the plan holds the levels from size 2 to
-    min(n_rows, n_cols + 1), one past the largest support, for the bordered
-    minors; with one column no system has size 2, and the plan is empty.
-    Each level carries two gathers and the signs of its Laplace
-    expansion along the last row: for each minor in order, its k entries of
-    that row and the k minors of size k - 1 they multiply, so the products
-    of term j are the stride-k slice from j, and term j is signed
-    (-1)^(k - 1 + j).
-    Each level also carries its systems, support by support: for each row
-    set K, the addresses of M(K, S) and of each Cramer numerator with its
-    sign (the ones at position j, signed as term j by the parity of the
-    k - 1 - j swaps that move the ones to the end), K's label mask (bit r
-    for each row r in K), and K's borders.  A border of K is, for each other
-    row r, r's bit, the address of M(K + r, S + ones) one size up and the
-    sign (-1)^(rows of K after r) of moving r to the bottom, as is and
-    negated (for a negative M(K, S)).
+    columns: the ``n_cols`` own strategies, then the ones) have flat
+    addresses, row set by row set, each row set's column sets in
+    `combinations` order; size 1 is the matrix itself, row-major.  Its
+    systems are read off column maxima, so the plan holds the levels from
+    size 2 to min(n_rows, n_cols + 1), one past the largest support, for the
+    bordered minors; with one column no system has size 2, and the plan is
+    empty.  Each level is ``(minors, supports)``.  ``minors`` holds, for each
+    minor in address order, the k terms of its Laplace expansion along the
+    last row: term j is the address of an entry of that row and of the minor
+    of size k - 1 it multiplies, signed (-1)^(k - 1 + j).
+    ``supports`` holds each support S with its systems: for each row set K,
+    the address of M(K, S), each Cramer numerator's address with its sign
+    (the ones at position j, signed as term j by the parity of the k - 1 - j
+    swaps that move the ones to the end), K itself, and K's borders: for
+    each other row r, r itself, the address of M(K + r, S + ones) one size
+    up, and the sign (-1)^(rows of K after r) of moving r to the bottom.
     """
     width = n_cols + 1
     top = min(n_rows, width) if n_cols > 1 else 1
@@ -175,15 +172,11 @@ def _cramer_plan(n_rows: int, n_cols: int) -> list[tuple]:
 
     plan = []
     for k in range(2, top + 1):
-        entries, smaller = [], []
-        for rows in row_sets[k]:
-            for cols in col_sets[k]:
-                for j, c in enumerate(cols):
-                    entries.append(rows[-1] * width + c)
-                    smaller.append(address(rows[:-1], cols[:j] + cols[j + 1:]))
-        # Term k - 1 is positive; the ones before it alternate in sign.
-        ops = [(j, sub if (k - 1 - j) % 2 else add) for j in range(k - 2, -1, -1)]
-        expansion = (itemgetter(*entries), itemgetter(*smaller), ops)
+        minors = [
+            [(rows[-1] * width + c, address(rows[:-1], cols[:j] + cols[j + 1:]))
+             for j, c in enumerate(cols)]
+            for rows in row_sets[k] for cols in col_sets[k]
+        ]
         supports = []
         for support in combinations(range(n_cols), k):
             bordered = support + (n_cols,)
@@ -191,22 +184,112 @@ def _cramer_plan(n_rows: int, n_cols: int) -> list[tuple]:
                 (support[:j] + support[j + 1:] + (n_cols,), (-1) ** (k - 1 + j))
                 for j in range(k)
             ]
-            systems = []
-            for rows in row_sets[k]:
-                others = [
-                    (1 << r, address(tuple(sorted(rows + (r,))), bordered),
-                     (-1) ** sum(s > r for s in rows))
-                    for r in range(n_rows) if r not in rows
-                ]
-                systems.append((
-                    address(rows, support),
-                    [(address(rows, cols), sign) for cols, sign in cramer],
-                    sum(1 << r for r in rows),
-                    [[(bit, at, sign * flip) for bit, at, sign in others] for flip in (1, -1)],
-                ))
+            systems = [
+                (address(rows, support),
+                 [(address(rows, cols), sign) for cols, sign in cramer],
+                 rows,
+                 [(r, address(tuple(sorted(rows + (r,))), bordered), (-1) ** sum(s > r for s in rows))
+                  for r in range(n_rows) if r not in rows])
+                for rows in row_sets[k]
+            ]
             supports.append((support, systems))
-        plan.append((expansion, supports))
+        plan.append((minors, supports))
     return plan
+
+
+def _kernel_source(n_rows: int, n_cols: int) -> str:
+    """The source of `_vertices` for constraints of one shape, written from `_cramer_plan`.
+
+    It holds only names and integer literals that the shape decides.  The
+    entries are locals ``c{row}_{col}`` and the minors of size k locals
+    ``m{k}_{address}``; a product with the column of ones is its other
+    factor.  Each system folds the sign of its denominator into the
+    denominator, its numerators ``n{i}`` and its border slacks ``b{r}``, so
+    one flat test keeps it: a nonzero denominator and no negative value.
+    """
+    width = n_cols + 1
+    plan = _cramer_plan(n_rows, n_cols)
+
+    def minor(k, at):
+        if k > 1:
+            return f"m{k}_{at}"
+        r, c = divmod(at, width)
+        return "1" if c == n_cols else f"c{r}_{c}"
+
+    def signed(sign, name):
+        return name if sign > 0 else f"-{name}"
+
+    def mask(constant, bits):
+        # (not v) is True where v is zero; `|` with an int gives an int.
+        return " | ".join(([str(constant)] if constant or not bits else [])
+                          + [f"(not {v}) << {i}" if i else f"(not {v})" for i, v in bits])
+
+    unpack = ", ".join("[" + ", ".join(f"c{r}_{c}" for c in range(n_cols)) + "]" for r in range(n_rows))
+    lines = [f"def _vertices_{n_rows}x{n_cols}(constraints):", f"    [{unpack}] = constraints"]
+    # Support {i}: x = e_i over the column's maximum, tight where a row reaches it.
+    everything = (1 << n_cols) - 1
+    singles = []
+    for i in range(n_cols):
+        column = [f"c{r}_{i}" for r in range(n_rows)]
+        if n_rows == 1:
+            peak, tight = column[0], "1"
+        else:
+            peak = f"p{i}"
+            lines.append(f"    {peak} = max({', '.join(column)})")
+            tight = " | ".join(f"({v} == {peak})" + (f" << {r}" if r else "") for r, v in enumerate(column))
+        x = ", ".join("1" if j == i else "0" for j in range(n_cols)) + ("," if n_cols == 1 else "")
+        singles.append(f"        (({x}), {peak}): ({everything ^ 1 << i}, {tight}),")
+    lines += ["    vertices = {", *singles, "    }"]
+    for k, (minors, _) in enumerate(plan, 2):
+        for at, terms in enumerate(minors):
+            products = []
+            for j, (entry, smaller) in enumerate(terms):
+                factors = [f for f in (minor(1, entry), minor(k - 1, smaller)) if f != "1"]
+                products.append(" * ".join(factors) or "1")
+            # Term k - 1 is positive; the ones before it alternate in sign.
+            expression = products[-1] + "".join(
+                f" {'-' if (k - 1 - j) % 2 else '+'} {products[j]}" for j in range(k - 2, -1, -1))
+            lines.append(f"    m{k}_{at} = {expression}")
+    for k, (_, supports) in enumerate(plan, 2):
+        for support, systems in supports:
+            unplayed = everything & ~sum(1 << i for i in support)
+            for at, cramer, rows, borders in systems:
+                nums = [f"n{i}" for i in support]
+                slacks = [f"b{r}" for r, _, _ in borders]
+                values = [minor(k, at)] + [signed(sign, minor(k, c)) for c, sign in cramer]
+                values += [signed(sign, minor(k + 1, wider)) for _, wider, sign in borders]
+                folded = ", ".join(["d", *nums, *slacks])
+                x = ", ".join(f"n{i} // g" if i in support else "0" for i in range(n_cols))
+                lines += [
+                    f"    # S = {support}, K = {rows}",
+                    f"    {folded} = {', '.join(values)}",
+                    "    if d < 0:",
+                    f"        {folded} = {', '.join(f'-{v}' for v in ['d', *nums, *slacks])}",
+                    f"    if d and {' and '.join(f'{v} >= 0' for v in nums + slacks)}:",
+                    f"        g = gcd(d, {', '.join(nums)})",
+                    f"        vertices[({x}), d // g] = ("
+                    f"{mask(unplayed, list(zip(support, nums)))}, "
+                    f"{mask(sum(1 << r for r in rows), [(r, f'b{r}') for r, _, _ in borders])})",
+                ]
+    lines.append("    return vertices")
+    return "\n".join(lines) + "\n"
+
+
+@lru_cache(maxsize=128)
+def _kernel(n_rows: int, n_cols: int):
+    """`_vertices` for one shape, compiled once per process from `_kernel_source`.
+
+    Its source is registered with `linecache` under the filename
+    ``<nash kernel NxM>``, so tracebacks and `inspect.getsource` show it.
+    """
+    import linecache  # here, so that importing nash does not load it
+
+    source = _kernel_source(n_rows, n_cols)
+    filename = f"<nash kernel {n_rows}x{n_cols}>"
+    namespace = {"gcd": gcd}
+    exec(compile(source, filename, "exec"), namespace)
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    return namespace[f"_vertices_{n_rows}x{n_cols}"]
 
 
 def _vertices(constraints: list[list[int]]) -> dict[_Vertex, tuple[int, int]]:
@@ -224,52 +307,10 @@ def _vertices(constraints: list[list[int]]) -> dict[_Vertex, tuple[int, int]]:
     where that minor is zero and violated where it has the wrong sign.
     Labels: the first mask has bit i set where x_i = 0, the second bit k
     where constraint k is tight, that is where k is the opponent's best
-    response.
+    response.  The work is one call of the shape's compiled kernel
+    (`_kernel`): straight-line integer code with every minor a local.
     """
-    vertices: dict[_Vertex, tuple[int, int]] = {}
-    size = len(constraints[0])
-    everything = (1 << size) - 1
-    for i, column in enumerate(zip(*constraints)):
-        peak = max(column)
-        x = [0] * size
-        x[i] = 1
-        tight = sum(1 << k for k, v in enumerate(column) if v == peak)
-        vertices[tuple(x), peak] = (everything ^ 1 << i, tight)
-    matrix = []
-    for row in constraints:
-        matrix += row
-        matrix.append(1)
-    plan = _cramer_plan(len(constraints), size)
-    # tables[k - 1]: the minors of size k, at the plan's flat addresses.
-    tables = [matrix]
-    for k, (expansion, _) in enumerate(plan, 2):
-        entries, smaller, ops = expansion
-        terms = list(map(mul, entries(matrix), smaller(tables[-1])))
-        table = terms[k - 1::k]
-        for j, op in ops:
-            table = map(op, table, terms[j::k])
-        tables.append(list(table))
-    for (_, supports), table, wider in zip(plan, tables[1:], tables[2:] + [None]):
-        for support, systems in supports:
-            for at, cramer, best, borders in systems:
-                if not (den := table[at]):
-                    continue
-                nums = [sign * table[c] for c, sign in cramer]
-                if min(nums) < 0 if den > 0 else max(nums) > 0:  # x has a negative entry
-                    continue
-                for bit, wider_at, sign in borders[den < 0]:
-                    if (slack := sign * wider[wider_at]) < 0:
-                        break
-                    if not slack:
-                        best |= bit
-                else:
-                    g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)  # so den // g > 0
-                    x = [0] * size
-                    for i, v in zip(support, nums):
-                        x[i] = v // g
-                    unplayed = sum(1 << i for i, v in enumerate(x) if v == 0)
-                    vertices[tuple(x), den // g] = (unplayed, best)
-    return vertices
+    return _kernel(len(constraints), len(constraints[0]))(constraints)
 
 
 class _Solved(NamedTuple):

@@ -487,7 +487,7 @@ SOLVE_FLOAT = ["solve", "{ext}", "--allow-float-solve", "-o", "{report}"]
            "-o", "{ext}"]], "5070db5e6a5429984a1034e76ef09a30"),
         ([["reproduce", "--json"]], "029eb049729a23ddd18c60e2ccf5c3ce"),
         ([EXTEND_FLOAT_TO_FILE, SOLVE_FLOAT], "5642ef12439c59ea17c515a561c05ab8"),
-        ([EXTEND_FLOAT_MIXED_TO_FILE, SOLVE_FLOAT], "07b775d1568ba316dbb1b3fa0eeea7ba"),
+        ([EXTEND_FLOAT_MIXED_TO_FILE, SOLVE_FLOAT], "384841238db71a53efa29d95f2b3c777"),
         # Sweeps whose rows reach pure ties, several mixed equilibria and a
         # constant game.
         ([["sweep", "{tie}", *FULL_GRID]], "75bf2418ddce3e2ded20d886e7a6b7b3"),

@@ -8,6 +8,7 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ewlgames import (
     EXT_LABELS,
@@ -28,6 +29,8 @@ from ewlgames import (
     outcome_weights,
     params_from_angles,
     random_generic_game,
+    snapped,
+    support_enumeration,
     variant,
 )
 from family_oracle import build_type_matrix, oracle_extension_grid
@@ -293,6 +296,46 @@ def test_float_cells_match_closed_form_off_grid():
             got = ext.game.payoff(i, j)
             assert abs(float(got[0]) - want[0]) <= 1e-12
             assert abs(float(got[1]) - want[1]) <= 1e-12
+
+
+def swap_players(game):
+    """The game with the players swapped: the column player chooses rows."""
+    return make_game(game.col_labels, game.row_labels,
+                     [[(b, a) for a, b in col] for col in zip(*game.payoffs)])
+
+
+payoff_values = st.builds(F, st.integers(-40, 40), st.integers(1, 12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(st.tuples(payoff_values, payoff_values), min_size=4, max_size=4),
+    theta=st.floats(0, math.pi),
+    alpha=st.floats(0, 2 * math.pi),
+    beta=st.floats(0, 2 * math.pi),
+)
+def test_float_route_keeps_the_player_swap(values, theta, alpha, beta):
+    # Both qubits get the same U, so extending the swapped game swaps the
+    # extension, cell for cell and bit for bit.
+    game = make_game(("A", "B"), ("C", "D"), [values[:2], values[2:]])
+    params = UnitaryParams.from_radians(theta, alpha, beta)
+    swapped = build_extension(swap_players(game), params).game
+    assert swapped.payoffs == swap_players(build_extension(game, params).game).payoffs
+
+
+def test_float_witness_solves_alike_with_either_player_first():
+    # Player 2's column sums tie (4 + 10 = 19/2 + 9/2), so the true extension
+    # is degenerate.  With the new cells summed in presentation order, the
+    # snapped extension read degenerate with the players swapped and not as
+    # given.
+    game = make_game(("A", "B"), ("C", "D"), [[(F(36, 5), 4), (F(-26, 5), F(19, 2))],
+                                              [(F(19, 5), 10), (4, F(9, 2))]])
+    params = UnitaryParams.from_radians(1.1814085270193382, 4.924081376252978, 4.408385893597192)
+    assert not build_extension(game, params).exact
+    reports = [support_enumeration(snapped(build_extension(g, params).game))
+               for g in (game, swap_players(game))]
+    assert [r.degenerate for r in reports] == [True, True]
+    assert [(len(r.pure), len(r.mixed)) for r in reports] == [(0, 3), (0, 3)]
 
 
 def test_float_route_agrees_with_exact_route_on_grid(pd):

@@ -1,8 +1,13 @@
 """Equilibrium solving: pure best responses and exact vertex enumeration."""
 
+import inspect
+import io
 import itertools
 import math
 import random
+import tokenize
+import traceback
+import warnings
 from fractions import Fraction as F
 
 import pytest
@@ -652,6 +657,49 @@ def test_cramer_plan_holds_only_the_levels_some_system_reads():
             assert count == sum(math.comb(n_rows, k) * math.comb(n_cols, k) for k in sizes)
     assert [nash._cramer_plan(n, 1) for n in range(1, 6)] == [[]] * 5
     assert sum(len(systems) for _, supports in nash._cramer_plan(3, 3) for _, systems in supports) == 10
+
+
+def test_one_kernel_serves_every_game_of_a_shape(monkeypatch):
+    # Two 3x3 games with different payoffs, neither symmetric: four polytopes,
+    # one compiled kernel.
+    kernels = []
+
+    def kernel(*shape):
+        kernels.append(original(*shape))
+        return kernels[-1]
+
+    original = nash._kernel
+    monkeypatch.setattr(nash, "_kernel", kernel)
+    original.cache_clear()
+    for game in (grid_game([(i, 2 * i % 5) for i in range(9)], 3, 3),
+                 grid_game([(i % 4, -i) for i in range(9)], 3, 3)):
+        support_enumeration(game)
+    assert len(kernels) == 4
+    assert all(k is kernels[0] for k in kernels)
+    info = original.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
+
+
+SHAPES = [(n, m) for n in range(1, 5) for m in range(1, 5)] + [(5, 2), (2, 5)]
+
+
+def test_kernels_compile_cleanly_and_show_their_source():
+    # Compiled with every warning an error; the source holds only names and
+    # integer literals, and `inspect` and tracebacks read it from linecache.
+    nash._kernel.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kernels = {shape: nash._kernel(*shape) for shape in SHAPES}
+    for (n, m), kernel in kernels.items():
+        source = nash._kernel_source(n, m)
+        assert inspect.getsource(kernel) == source
+        assert kernel.__code__.co_filename == f"<nash kernel {n}x{m}>"
+        tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
+        assert not [t for t in tokens if t.type == tokenize.STRING]
+        assert all(t.string.isdigit() for t in tokens if t.type == tokenize.NUMBER)
+        with pytest.raises(ValueError) as raised:
+            kernel([[1] * (m + 1)] * n)  # one entry too many in each row
+        assert "= constraints" in "".join(traceback.format_tb(raised.value.__traceback__))
 
 
 def test_vertices_match_oracles_where_the_opponent_keeps_two_more_strategies():
